@@ -18,6 +18,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .cloud import (
     CloudFormatError,
@@ -180,8 +181,7 @@ def _compare(a: PointCloud, b: PointCloud, method: str, reg):
     if method == "exact":
         return wasserstein_exact(a, b)
     if reg is None:
-        sq = ((a.points[:, None, :] - b.points[None, :, :]) ** 2).sum(axis=-1)
-        reg = 0.002 * float(np.median(sq))
+        reg = 0.002 * float(np.median(cdist(a.points, b.points, "sqeuclidean")))
     return wasserstein_sinkhorn(a, b, reg=reg)
 
 

@@ -3,8 +3,8 @@
 Convention: 2-Wasserstein with Euclidean ground metric and uniform weights,
 reported as the root of the coupling-weighted mean squared distance. Equal
 small clouds get the exact assignment solver; anything else goes through
-entropically regularized Sinkhorn iterations, whose cost is reported sharp
-(without the entropy term).
+entropically regularized Sinkhorn scaling (stabilized, kernel-domain), whose
+cost is reported sharp (without the entropy term).
 """
 
 from __future__ import annotations
@@ -24,6 +24,9 @@ __all__ = [
 ]
 
 EXACT_SIZE_CAP = 4096
+# Sinkhorn scalings outside [1 / ABSORB_BOUND, ABSORB_BOUND] are folded into
+# the log potentials before they can overflow or underflow the kernel.
+ABSORB_BOUND = 1e3
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,19 @@ def wasserstein_exact(
     return TransportPlan(cost=cost, coupling=coupling, method="exact-assignment")
 
 
+def _kernel(f: np.ndarray, g: np.ndarray, C: np.ndarray, eps: float) -> np.ndarray:
+    """Gibbs kernel with the log potentials absorbed: exp((f_i + g_j - C_ij) / eps).
+
+    Entries too small for their product with a scaling in
+    [1 / ABSORB_BOUND, ABSORB_BOUND] to be a normal float are set to zero:
+    they cannot move any row or column sum, and matrix-vector products
+    over subnormal floats run about 100x slower.
+    """
+    K = np.exp((f[:, None] + g[None, :] - C) / eps)
+    K[K < ABSORB_BOUND * np.finfo(float).tiny] = 0.0
+    return K
+
+
 def wasserstein_sinkhorn(
     a: PointCloud,
     b: PointCloud,
@@ -92,19 +108,32 @@ def wasserstein_sinkhorn(
 ) -> TransportPlan:
     """Entropically regularized transport between uniform clouds.
 
-    Runs log-domain Sinkhorn iterations with a geometric warm-start
-    schedule down to the requested regularization, which keeps small reg
-    values stable. Cloud sizes may differ. Non-convergence is reported in
-    the returned plan (converged flag and residual marginal error) rather
-    than raised, since the partial plan is still usable as a diagnostic.
+    Runs stabilized kernel-domain Sinkhorn scaling (Schmitzer 2019; Peyre &
+    Cuturi 2019, sec. 4.4) with a geometric warm-start schedule down to the
+    requested regularization, which keeps small reg values stable. Each
+    iteration is two matrix-vector products, u = mu / (K v) and
+    v = nu / (K^T u), with the log potentials f, g absorbed in
+    K = exp((f + g - C) / eps). The scalings are folded into f, g and K is
+    rebuilt at every stage and whenever a scaling leaves
+    [1 / ABSORB_BOUND, ABSORB_BOUND], so the iterates equal log-domain
+    Sinkhorn's. Cloud sizes may differ.
+
+    Non-convergence is reported in the returned plan (converged flag and
+    residual marginal error) rather than raised. If max_iters runs out
+    before the target reg, the plan is evaluated at the last regularization
+    reached, so it stays a usable diagnostic.
     """
     _check_dims(a, b)
-    if not reg > 0:
-        raise ValueError("reg must be > 0")
+    if not (np.isfinite(reg) and reg > 0):
+        raise ValueError(f"reg must be finite and > 0, got {reg}")
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+    if not max_iters >= 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     m, mp = a.m, b.m
     C = cdist(a.points, b.points, metric="sqeuclidean")
-    log_mu = np.full(m, -np.log(m))
-    log_nu = np.full(mp, -np.log(mp))
+    mu = np.full(m, 1.0 / m)
+    nu = np.full(mp, 1.0 / mp)
 
     # Geometric schedule from an easy regularization down to the target.
     scale = float(C.max())
@@ -116,16 +145,9 @@ def wasserstein_sinkhorn(
     f = np.zeros(m)
     g = np.zeros(mp)
     iterations = 0
-    def lse_rows(M):
-        mx = M.max(axis=1)
-        return mx + np.log(np.exp(M - mx[:, None]).sum(axis=1))
-
-    def lse_cols(M):
-        mx = M.max(axis=0)
-        return mx + np.log(np.exp(M - mx[None, :]).sum(axis=0))
-
-    marginal_error = np.inf
     for eps in regs:
+        K = _kernel(f, g, C, eps)
+        u, v = np.ones(m), np.ones(mp)
         # Intermediate stages only warm-start the potentials; convergence
         # is enforced at the target regularization.
         final = eps == reg
@@ -133,28 +155,32 @@ def wasserstein_sinkhorn(
         stage_tol = tol if final else max(tol, 1e-4)
         stage_iter = 0
         while iterations < stage_cap:
-            f_new = eps * (log_mu - lse_rows((g[None, :] - C) / eps))
-            g = eps * (log_nu - lse_cols((f_new[:, None] - C) / eps))
+            u_new = mu / (K @ v)
+            v = nu / (u_new @ K)
             iterations += 1
             stage_iter += 1
-            # After the g update the column marginals hold exactly, and the
-            # row violation one step ago is encoded in how far f just moved.
-            row_err = float(
-                np.abs(np.exp(log_mu) * np.expm1((f - f_new) / eps)).sum()
-            )
-            f = f_new
+            # After the v update the column marginals hold exactly, and the
+            # row violation one step ago is encoded in how far u just moved.
+            row_err = float(np.abs(mu * (u / u_new - 1.0)).sum())
+            u = u_new
             if stage_iter > 1 and row_err <= stage_tol:
-                marginal_error = row_err
                 break
+            if max(u.max(), v.max(), 1.0 / u.min(), 1.0 / v.min()) > ABSORB_BOUND:
+                f += eps * np.log(u)
+                g += eps * np.log(v)
+                K = _kernel(f, g, C, eps)
+                u, v = np.ones(m), np.ones(mp)
+        f += eps * np.log(u)
+        g += eps * np.log(v)
         if iterations >= max_iters:
             break
 
-    P = np.exp((f[:, None] + g[None, :] - C) / reg)
+    P = _kernel(f, g, C, eps)
     marginal_error = max(
         float(np.abs(P.sum(axis=1) - 1.0 / m).sum()),
         float(np.abs(P.sum(axis=0) - 1.0 / mp).sum()),
     )
-    converged = marginal_error <= tol
+    converged = eps == reg and marginal_error <= tol
     total = float(P.sum())
     cost = float(np.sqrt(max((P * C).sum() / total, 0.0))) if total > 0 else float("nan")
     return TransportPlan(

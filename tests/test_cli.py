@@ -149,6 +149,16 @@ def test_compare_unequal_sizes_uses_sinkhorn(tmp_path):
     assert doc["distance"] < 0.2
 
 
+@pytest.mark.parametrize("reg", ["inf", "nan", "0", "-1"])
+def test_compare_rejects_bad_reg(tmp_path, reg):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    run("gen", "sphere-plane-singular", "--m", 20, "--seed", 13, "-o", a)
+    run("gen", "sphere-plane-singular", "--m", 30, "--seed", 14, "-o", b)
+    metrics = tmp_path / "m.json"
+    assert run("compare", "--input-a", a, "--input-b", b, "--reg", reg, "-o", metrics) == 2
+    assert not metrics.exists()
+
+
 def test_export_algebra_and_rationalization_failure(tmp_path):
     cloud = tmp_path / "omega.csv"
     model = tmp_path / "model.json"

@@ -2,7 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
+from scipy.special import logsumexp
 
+from varietyfit import transport
 from varietyfit.cloud import PointCloud
 from varietyfit.transport import (
     TransportPlan,
@@ -159,13 +164,118 @@ def test_sinkhorn_reports_nonconvergence():
     assert not plan.converged
     assert plan.iterations == 5
     assert plan.marginal_error > 0
+    # The partial plan is evaluated at the last regularization reached, so
+    # it is still a usable diagnostic rather than an underflowed zero matrix.
+    assert np.isfinite(plan.cost)
+    assert plan.coupling.sum() > 0.5
 
 
 def test_sinkhorn_validation():
     rng = np.random.default_rng(14)
     a = PointCloud(rng.random((5, 2)))
-    with pytest.raises(ValueError):
-        wasserstein_sinkhorn(a, a, reg=0.0)
+    for kwargs in (
+        {"reg": 0.0},
+        {"reg": -1.0},
+        {"reg": float("inf")},
+        {"reg": float("nan")},
+        {"reg": 0.1, "tol": 0.0},
+        {"reg": 0.1, "tol": float("nan")},
+        {"reg": 0.1, "max_iters": 0},
+    ):
+        with pytest.raises(ValueError):
+            wasserstein_sinkhorn(a, a, **kwargs)
+
+
+def _log_domain_sinkhorn(a, b, reg, max_iters=20000, tol=1e-6):
+    """Reference: the same schedule, stopping rule and plan evaluation as
+    wasserstein_sinkhorn, iterating on the log potentials with a full
+    log-sum-exp per half-step. Returns (cost, iterations, converged)."""
+    C = cdist(a.points, b.points, metric="sqeuclidean")
+    m, mp = C.shape
+    log_mu, log_nu = np.full(m, -np.log(m)), np.full(mp, -np.log(mp))
+    regs = [reg]
+    while C.max() > 0 and regs[-1] < 0.1 * C.max():
+        regs.append(regs[-1] * 4.0)
+    f, g, iterations = np.zeros(m), np.zeros(mp), 0
+    for eps in reversed(regs):
+        final = eps == reg
+        cap = max_iters if final else min(iterations + 100, max_iters)
+        stage_tol = tol if final else max(tol, 1e-4)
+        stage_iter = 0
+        while iterations < cap:
+            f_new = eps * (log_mu - logsumexp((g[None, :] - C) / eps, axis=1))
+            g = eps * (log_nu - logsumexp((f_new[:, None] - C) / eps, axis=0))
+            iterations += 1
+            stage_iter += 1
+            row_err = np.abs(np.exp(log_mu) * np.expm1((f - f_new) / eps)).sum()
+            f = f_new
+            if stage_iter > 1 and row_err <= stage_tol:
+                break
+        if iterations >= max_iters:
+            break
+    P = np.exp((f[:, None] + g[None, :] - C) / eps)
+    err = max(np.abs(P.sum(axis=1) - 1 / m).sum(), np.abs(P.sum(axis=0) - 1 / mp).sum())
+    cost = float(np.sqrt((P * C).sum() / P.sum()))
+    return cost, iterations, bool(eps == reg and err <= tol)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sinkhorn_matches_log_domain_reference(seed):
+    rng = np.random.default_rng(1000 + seed)
+    m, mp = (int(k) for k in rng.integers(2, 60, size=2))
+    dim = int(rng.integers(1, 4))
+    a = PointCloud(rng.random((m, dim)))
+    b = PointCloud(rng.random((mp, dim)) + 0.3 * rng.random())
+    reg = 10 ** rng.uniform(-5, -1) * float(np.median(cdist(a.points, b.points, "sqeuclidean")))
+    max_iters = (5, 300, 3000)[seed % 3]
+    plan = wasserstein_sinkhorn(a, b, reg=reg, max_iters=max_iters)
+    cost, iterations, converged = _log_domain_sinkhorn(a, b, reg, max_iters=max_iters)
+    assert plan.iterations == iterations
+    assert plan.converged == converged
+    assert abs(plan.cost - cost) <= 1e-12
+
+
+def test_sinkhorn_absorption_keeps_reference_iterates(monkeypatch):
+    # Small reg: the scalings leave [1/ABSORB_BOUND, ABSORB_BOUND] inside a
+    # stage, so the kernel is rebuilt more often than once per stage plus
+    # the final plan evaluation.
+    builds = []
+    kernel = transport._kernel
+
+    def counting_kernel(f, g, C, eps):
+        builds.append(eps)
+        return kernel(f, g, C, eps)
+
+    monkeypatch.setattr(transport, "_kernel", counting_kernel)
+    rng = np.random.default_rng(15)
+    a = PointCloud(rng.random((40, 2)))
+    b = PointCloud(rng.random((50, 2)))
+    reg = 1e-4 * float(np.median(cdist(a.points, b.points, "sqeuclidean")))
+    plan = wasserstein_sinkhorn(a, b, reg=reg, max_iters=3000)
+    assert len(builds) > len(set(builds)) + 1
+    cost, iterations, converged = _log_domain_sinkhorn(a, b, reg, max_iters=3000)
+    assert (plan.iterations, plan.converged) == (iterations, converged)
+    assert abs(plan.cost - cost) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    m=st.integers(1, 40),
+    mp=st.integers(1, 40),
+    dim=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    rel_reg=st.floats(1e-3, 1e-1),
+)
+def test_sinkhorn_converged_plans_meet_marginals(m, mp, dim, seed, rel_reg):
+    rng = np.random.default_rng(seed)
+    a = PointCloud(rng.random((m, dim)))
+    b = PointCloud(rng.random((mp, dim)))
+    sq = cdist(a.points, b.points, "sqeuclidean")
+    plan = wasserstein_sinkhorn(a, b, reg=rel_reg * float(np.median(sq)))
+    if plan.converged:
+        P = plan.coupling
+        assert np.abs(P.sum(axis=1) - 1 / m).sum() <= 1e-6
+        assert np.abs(P.sum(axis=0) - 1 / mp).sum() <= 1e-6
 
 
 def test_plan_is_frozen_record():
