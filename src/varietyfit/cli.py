@@ -39,6 +39,10 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 
+class _NotConverged(RuntimeError):
+    """An iterative solver stopped at its budget without converging."""
+
+
 def _manifest_path(output) -> Path:
     out = Path(output)
     if out.is_dir():
@@ -77,19 +81,18 @@ def _generate(kind, m, seed, sigma, plane_fraction) -> PointCloud:
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
-def cmd_gen(args) -> int:
-    started, t0 = _now(), time.perf_counter()
+# Each command does its work and returns the manifest's result summary;
+# main times it and writes the manifest.
+
+
+def cmd_gen(args) -> dict:
     cloud = _generate(args.kind, args.m, args.seed, args.sigma, args.plane_fraction)
     save_cloud(cloud, args.output)
     print(f"wrote {cloud.m} x {cloud.dim} cloud to {args.output}")
-    _write_manifest(
-        args.output, args, {"m": cloud.m, "dim": cloud.dim}, started, t0
-    )
-    return EXIT_OK
+    return {"m": cloud.m, "dim": cloud.dim}
 
 
-def cmd_fit(args) -> int:
-    started, t0 = _now(), time.perf_counter()
+def cmd_fit(args) -> dict:
     cloud = load_cloud(args.input, header=args.header)
     record = None
     if args.normalize:
@@ -104,24 +107,16 @@ def cmd_fit(args) -> int:
         f"lambda={fit.lam:.6e} kernel_dim={fit.kernel_dim} "
         f"trace={fit.trace:.6e} residual={fit.residual:.3e}"
     )
-    _write_manifest(
-        args.output,
-        args,
-        {
-            "lambda": fit.lam,
-            "kernel_dim": fit.kernel_dim,
-            "trace": fit.trace,
-            "residual": fit.residual,
-            "m": fit.m,
-        },
-        started,
-        t0,
-    )
-    return EXIT_OK
+    return {
+        "lambda": fit.lam,
+        "kernel_dim": fit.kernel_dim,
+        "trace": fit.trace,
+        "residual": fit.residual,
+        "m": fit.m,
+    }
 
 
-def cmd_sample(args) -> int:
-    started, t0 = _now(), time.perf_counter()
+def cmd_sample(args) -> dict:
     model = load_model(args.model)
     f = model.polynomial()
     cfg = SamplerConfig(
@@ -137,12 +132,10 @@ def cmd_sample(args) -> int:
         f"wrote {cloud.m} points to {args.output} "
         f"(acceptance rate {stats['acceptance_rate']:.3g})"
     )
-    _write_manifest(args.output, args, stats, started, t0)
-    return EXIT_OK
+    return stats
 
 
-def cmd_singular(args) -> int:
-    started, t0 = _now(), time.perf_counter()
+def cmd_singular(args) -> dict:
     model = load_model(args.model)
     cloud = load_cloud(args.input, header=args.header)
     if args.eta is not None and args.epsilon <= args.eta:
@@ -157,20 +150,13 @@ def cmd_singular(args) -> int:
         np.savetxt(args.norms_output, report.gradient_norms, fmt="%.17g")
     print(f"accepted {report.accepted_count} of {cloud.m} points")
     q = np.percentile(report.gradient_norms, [1, 5, 25, 50, 75, 95, 99])
-    _write_manifest(
-        args.output,
-        args,
-        {
-            "accepted_count": report.accepted_count,
-            "input_count": cloud.m,
-            "gradient_norm_percentiles": {
-                p: float(v) for p, v in zip([1, 5, 25, 50, 75, 95, 99], q)
-            },
+    return {
+        "accepted_count": report.accepted_count,
+        "input_count": cloud.m,
+        "gradient_norm_percentiles": {
+            p: float(v) for p, v in zip([1, 5, 25, 50, 75, 95, 99], q)
         },
-        started,
-        t0,
-    )
-    return EXIT_OK
+    }
 
 
 def _compare(a: PointCloud, b: PointCloud, method: str, reg):
@@ -185,18 +171,15 @@ def _compare(a: PointCloud, b: PointCloud, method: str, reg):
     return wasserstein_sinkhorn(a, b, reg=reg)
 
 
-def cmd_compare(args) -> int:
-    started, t0 = _now(), time.perf_counter()
+def cmd_compare(args) -> dict:
     a = load_cloud(args.input_a, header=args.header)
     b = load_cloud(args.input_b, header=args.header)
     plan = _compare(a, b, args.method, args.reg)
     if plan.method == "sinkhorn" and not plan.converged:
-        print(
-            f"error: sinkhorn did not converge in {plan.iterations} iterations "
-            f"(marginal error {plan.marginal_error:.3e})",
-            file=sys.stderr,
+        raise _NotConverged(
+            f"sinkhorn did not converge in {plan.iterations} iterations "
+            f"(marginal error {plan.marginal_error:.3e})"
         )
-        return EXIT_BUDGET
     print(f"wasserstein {plan.cost:.6f} ({plan.method})")
     results = {
         "distance": plan.cost,
@@ -207,12 +190,10 @@ def cmd_compare(args) -> int:
     with open(args.output, "w", encoding="utf-8") as fh:
         json.dump(results, fh, indent=2)
         fh.write("\n")
-    _write_manifest(args.output, args, results, started, t0)
-    return EXIT_OK
+    return results
 
 
-def cmd_export_algebra(args) -> int:
-    started, t0 = _now(), time.perf_counter()
+def cmd_export_algebra(args) -> dict:
     model = load_model(args.model)
     poly = model.polynomial().normalized()
     rational = rationalize(
@@ -222,14 +203,10 @@ def cmd_export_algebra(args) -> int:
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(script)
     print(f"wrote algebra script to {args.output}")
-    _write_manifest(
-        args.output, args, {"scale": rational.scale}, started, t0
-    )
-    return EXIT_OK
+    return {"scale": rational.scale}
 
 
-def cmd_pipeline(args) -> int:
-    started, t0 = _now(), time.perf_counter()
+def cmd_pipeline(args) -> dict:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     degrees = [int(d) for d in args.degrees.split(",")]
@@ -282,8 +259,7 @@ def cmd_pipeline(args) -> int:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(f"{row[k]:.17g}" if isinstance(row[k], float) else str(row[k]) for k in header) + "\n")
-    _write_manifest(outdir, args, {"table": rows}, started, t0)
-    return EXIT_OK
+    return {"table": rows}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,14 +353,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started, t0 = _now(), time.perf_counter()
     try:
-        return args.func(args)
-    except ProposalBudgetError as exc:
+        results = args.func(args)
+        output = args.outdir if args.command == "pipeline" else args.output
+        _write_manifest(output, args, results, started, t0)
+    except (ProposalBudgetError, _NotConverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (CloudFormatError, RationalizationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    return EXIT_OK
 
 
 if __name__ == "__main__":

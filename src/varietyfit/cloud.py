@@ -123,7 +123,11 @@ def save_cloud(
 
 
 def load_cloud(path, format: str = "csv", header: bool = False) -> PointCloud:
-    """Read a cloud written by save_cloud; set header=True to skip a header row."""
+    """Read a cloud written by save_cloud; set header=True to skip a header row.
+
+    Rows of unequal width, unparsable cells and NaN or infinite values raise
+    CloudFormatError naming the line.
+    """
     if format != "csv":
         raise ValueError(f"unsupported cloud format {format!r}")
     rows: list[list[float]] = []
@@ -143,9 +147,12 @@ def load_cloud(path, format: str = "csv", header: bool = False) -> PointCloud:
                     f"{path}: line {lineno}: expected {width} values, got {len(cells)}"
                 )
             try:
-                rows.append([float(c) for c in cells])
+                row = [float(c) for c in cells]
             except ValueError as exc:
                 raise CloudFormatError(f"{path}: line {lineno}: {exc}") from None
+            if not np.isfinite(row).all():
+                raise CloudFormatError(f"{path}: line {lineno}: non-finite value")
+            rows.append(row)
     if not rows:
         raise CloudFormatError(f"{path}: no data rows")
     return PointCloud(np.array(rows))

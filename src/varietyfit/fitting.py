@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cloud import CUBE_SLACK, PointCloud
-from .polynomials import MonomialBasis, Poly, enumerate_monomials, sum_of_squares
+from .polynomials import MonomialBasis, Poly, enumerate_monomials, monomials, sum_of_squares
 
 __all__ = [
     "MapFit",
@@ -66,13 +66,7 @@ def vandermonde(cloud: PointCloud, basis: MonomialBasis) -> np.ndarray:
             f"points stray slightly outside [0,1]^n (range [{lo:.4g}, {hi:.4g}])",
             stacklevel=2,
         )
-    exps = basis.exponent_array
-    max_pow = exps.max(axis=0)
-    U = np.ones((cloud.m, len(basis)))
-    for j in range(basis.n):
-        table = pts[:, j][:, None] ** np.arange(max_pow[j] + 1)[None, :]
-        U *= table[:, exps[:, j]]
-    return U
+    return monomials(pts, basis)
 
 
 def smallest_eigenpairs(

@@ -24,12 +24,13 @@ __all__ = [
     "Poly",
     "enumerate_monomials",
     "gradient_polys",
+    "monomials",
     "multiply",
     "sum_of_squares",
 ]
 
 # Rows processed per block when evaluating on large clouds, to bound the
-# size of the broadcast (m, N, n) intermediate.
+# size of the (m, N) monomial table.
 _EVAL_CHUNK = 4096
 
 UNIT_NORM_TOL = 1e-12
@@ -159,40 +160,65 @@ class Poly:
         """Evaluate at one point (n,) or a stack of points (m, n).
 
         Returns a float for a single point, an (m,) array otherwise.
-        Computed as sum_k c_k * x^alpha_k by direct exponentiation.
+        Computed as sum_k c_k * x^alpha_k against the monomial table.
         """
         pts, single = self._as_points(points)
-        exps = self.basis.exponent_array
         out = np.empty(pts.shape[0])
         for start in range(0, pts.shape[0], _EVAL_CHUNK):
             block = pts[start : start + _EVAL_CHUNK]
-            monos = np.prod(block[:, None, :] ** exps[None, :, :], axis=2)
-            out[start : start + _EVAL_CHUNK] = monos @ self.coeffs
+            out[start : start + _EVAL_CHUNK] = monomials(block, self.basis) @ self.coeffs
         return float(out[0]) if single else out
 
     __call__ = evaluate
 
+    @cached_property
+    def _partials(self) -> tuple[np.ndarray, ...]:
+        # Coefficient vectors of the n partial derivatives, same basis.
+        basis = self.basis
+        out = []
+        for j in range(basis.n):
+            c = np.zeros(len(basis))
+            for k, alpha in enumerate(basis.exponents):
+                if alpha[j] == 0:
+                    continue
+                shifted = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]
+                c[basis.index(shifted)] += alpha[j] * self.coeffs[k]
+            out.append(c)
+        return tuple(out)
+
     def gradient(self, points):
-        """Partial derivatives at one point (-> (n,)) or a stack (-> (m, n))."""
+        """Partial derivatives at one point (-> (n,)) or a stack (-> (m, n)).
+
+        One monomial table per block, one product per partial derivative.
+        """
         pts, single = self._as_points(points)
-        cols = [g.evaluate(pts) for g in gradient_polys(self)]
-        out = np.stack(cols, axis=1)
+        out = np.empty(pts.shape)
+        for start in range(0, pts.shape[0], _EVAL_CHUNK):
+            table = monomials(pts[start : start + _EVAL_CHUNK], self.basis)
+            for j, c in enumerate(self._partials):
+                out[start : start + _EVAL_CHUNK, j] = table @ c
         return out[0] if single else out
+
+
+def monomials(points: np.ndarray, basis: MonomialBasis) -> np.ndarray:
+    """Monomial table M[i, k] = x_i^alpha_k of (m, n) points, shape (m, N).
+
+    Each variable's powers are tabulated once and gathered by exponent,
+    multiplying into the result in variable order. This is the one place
+    points are raised to powers: fitting, evaluation and gradients share it.
+    """
+    exps = basis.exponent_array
+    max_pow = exps.max(axis=0)
+    out = np.ones((points.shape[0], len(basis)))
+    for j in range(basis.n):
+        table = points[:, j][:, None] ** np.arange(max_pow[j] + 1)[None, :]
+        out *= table[:, exps[:, j]]
+    return out
 
 
 def gradient_polys(f: Poly) -> tuple[Poly, ...]:
     """The n partial derivatives of f, expressed in the same basis."""
-    basis = f.basis
-    grads = []
-    for j in range(basis.n):
-        c = np.zeros(len(basis))
-        for k, alpha in enumerate(basis.exponents):
-            if alpha[j] == 0:
-                continue
-            shifted = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]
-            c[basis.index(shifted)] += alpha[j] * f.coeffs[k]
-        grads.append(Poly(basis, c))
-    return tuple(grads)
+    return tuple(Poly(f.basis, c) for c in f._partials)
 
 
 def _term_dict(f: Poly) -> dict[tuple[int, ...], float]:
@@ -203,16 +229,26 @@ def _term_dict(f: Poly) -> dict[tuple[int, ...], float]:
     }
 
 
-def multiply(f: Poly, g: Poly) -> Poly:
-    """Product of two polynomials by exact exponent-vector convolution."""
-    if f.basis.n != g.basis.n:
+def _convolve(pairs: list[tuple[Poly, Poly]]) -> Poly:
+    # Sum of the products f * g over the pairs, by exponent-vector
+    # convolution; terms accumulate in pair order, then term order.
+    n = pairs[0][0].basis.n
+    if any(p.basis.n != n for pair in pairs for p in pair):
         raise ValueError("polynomials have different variable counts")
     acc: dict[tuple[int, ...], float] = {}
-    for alpha, ca in _term_dict(f).items():
-        for beta, cb in _term_dict(g).items():
-            gamma = tuple(a + b for a, b in zip(alpha, beta))
-            acc[gamma] = acc.get(gamma, 0.0) + ca * cb
-    return Poly.from_terms(f.basis.n, f.basis.degree + g.basis.degree, acc)
+    for f, g in pairs:
+        g_terms = _term_dict(g)
+        for alpha, ca in _term_dict(f).items():
+            for beta, cb in g_terms.items():
+                gamma = tuple(a + b for a, b in zip(alpha, beta))
+                acc[gamma] = acc.get(gamma, 0.0) + ca * cb
+    degree = max(f.basis.degree + g.basis.degree for f, g in pairs)
+    return Poly.from_terms(n, degree, acc)
+
+
+def multiply(f: Poly, g: Poly) -> Poly:
+    """Product of two polynomials by exact exponent-vector convolution."""
+    return _convolve([(f, g)])
 
 
 def sum_of_squares(fs: Iterable[Poly]) -> Poly:
@@ -222,18 +258,7 @@ def sum_of_squares(fs: Iterable[Poly]) -> Poly:
     the basis of degree 2 * max(deg bound). Its zero set is the common
     zero set of the inputs.
     """
-    fs = list(fs)
-    if not fs:
+    pairs = [(f, f) for f in fs]
+    if not pairs:
         raise ValueError("need at least one polynomial")
-    n = fs[0].basis.n
-    if any(f.basis.n != n for f in fs):
-        raise ValueError("polynomials have different variable counts")
-    out_degree = 2 * max(f.basis.degree for f in fs)
-    acc: dict[tuple[int, ...], float] = {}
-    for f in fs:
-        terms = _term_dict(f)
-        for alpha, ca in terms.items():
-            for beta, cb in terms.items():
-                gamma = tuple(a + b for a, b in zip(alpha, beta))
-                acc[gamma] = acc.get(gamma, 0.0) + ca * cb
-    return Poly.from_terms(n, out_degree, acc)
+    return _convolve(pairs)

@@ -8,11 +8,9 @@ Both samplers propose uniform points on [0,1]^n and filter them:
   * direct sampling accepts iff |f(a)| < eta, producing points within a
     hard algebraic-distance band of the zero set.
 
-Proposals are drawn in blocks from counter-based streams, one contiguous
-(point, alpha) record per proposal, so the accepted cloud depends only on
-(f, config, mode) and not on block size or scheduling: single-stream mode
-scans one stream, indexed-parallel mode derives one substream per worker
-from (seed, worker index) and merges acceptances in fixed proposal order.
+Proposals are drawn in blocks from one counter-based stream keyed by the
+seed, one contiguous (point, alpha) record per proposal, and scanned in
+order, so the accepted cloud depends only on (f, config).
 Small eta makes acceptance arbitrarily rare; the proposal budget turns
 that into a reported error instead of a hang.
 """
@@ -77,45 +75,29 @@ class ProposalBudgetError(RuntimeError):
         self.proposals = proposals
 
 
-def _sample(f: Poly, cfg: SamplerConfig, accept, mode: str, workers: int, full_output: bool):
-    if mode not in ("single-stream", "indexed-parallel"):
-        raise ValueError(f"unknown sampling mode {mode!r}")
+def _sample(f: Poly, cfg: SamplerConfig, accept, full_output: bool):
     n = f.basis.n
-    if mode == "single-stream":
-        streams = [make_rng(cfg.seed)]
-    else:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        streams = [make_rng(cfg.seed, stream=w + 1) for w in range(workers)]
+    rng = make_rng(cfg.seed)
     chunks: list[np.ndarray] = []
     collected = 0
     used = 0
     proposals_at_finish = None
     while used < cfg.budget and collected < cfg.target_m:
-        # One round: a block per stream, proposals globally ordered by
-        # (round, stream index, in-block index). With one stream this is a
-        # plain sequential scan; with several, the same acceptance set is
-        # produced no matter how block evaluations are scheduled.
-        for rng in streams:
-            b = min(_BLOCK, cfg.budget - used)
-            if b == 0:
-                break
-            block = rng.random((b, n + 1))
-            pts = block[:, :n]
-            alpha = block[:, n]
-            mask = accept(f.evaluate(pts), alpha)
-            hits = pts[mask]
-            if hits.shape[0] > 0 and collected < cfg.target_m:
-                chunks.append(hits)
-                if collected + hits.shape[0] >= cfg.target_m:
-                    # stream position of the proposal completing the target
-                    need = cfg.target_m - collected
-                    last = int(np.flatnonzero(mask)[need - 1])
-                    proposals_at_finish = used + last + 1
-                collected += hits.shape[0]
-            used += b
-            if collected >= cfg.target_m:
-                break
+        b = min(_BLOCK, cfg.budget - used)
+        block = rng.random((b, n + 1))
+        pts = block[:, :n]
+        alpha = block[:, n]
+        mask = accept(f.evaluate(pts), alpha)
+        hits = pts[mask]
+        if hits.shape[0] > 0:
+            chunks.append(hits)
+            if collected + hits.shape[0] >= cfg.target_m:
+                # stream position of the proposal completing the target
+                need = cfg.target_m - collected
+                last = int(np.flatnonzero(mask)[need - 1])
+                proposals_at_finish = used + last + 1
+            collected += hits.shape[0]
+        used += b
     points = (
         np.vstack(chunks)[: cfg.target_m] if chunks else np.empty((0, n))
     )
@@ -137,35 +119,18 @@ def _sample(f: Poly, cfg: SamplerConfig, accept, mode: str, workers: int, full_o
     return cloud
 
 
-def rejection_sample(
-    f: Poly,
-    cfg: SamplerConfig,
-    full_output: bool = False,
-    mode: str = "single-stream",
-    workers: int = 4,
-):
+def rejection_sample(f: Poly, cfg: SamplerConfig, full_output: bool = False):
     """Draw cfg.target_m points, accepting proposals with prob exp(-f(a)^2).
 
     With full_output=True also returns a dict with the proposal count and
     acceptance rate. Raises ProposalBudgetError when the budget runs out.
     """
     return _sample(
-        f,
-        cfg,
-        lambda vals, alpha: alpha < np.exp(-(vals**2)),
-        mode,
-        workers,
-        full_output,
+        f, cfg, lambda vals, alpha: alpha < np.exp(-(vals**2)), full_output
     )
 
 
-def direct_sample(
-    f: Poly,
-    cfg: SamplerConfig,
-    full_output: bool = False,
-    mode: str = "single-stream",
-    workers: int = 4,
-):
+def direct_sample(f: Poly, cfg: SamplerConfig, full_output: bool = False):
     """Draw cfg.target_m uniform points conditioned on |f(a)| < cfg.eta.
 
     Every returned point satisfies the threshold strictly. Raises
@@ -173,6 +138,4 @@ def direct_sample(
     eta too small for the budget.
     """
     eta = cfg.eta
-    return _sample(
-        f, cfg, lambda vals, alpha: np.abs(vals) < eta, mode, workers, full_output
-    )
+    return _sample(f, cfg, lambda vals, alpha: np.abs(vals) < eta, full_output)

@@ -42,6 +42,21 @@ def sphere_plane_reference() -> Poly:
     )
 
 
+def broadcast_evaluate(f: Poly, points: np.ndarray) -> np.ndarray:
+    """Evaluate f at (m, n) points by a direct (rows, N, n) power broadcast.
+
+    Independent of the package's monomial table; rows go in blocks of 4096
+    so each block's product has the same shape as Poly.evaluate's.
+    """
+    exps = f.basis.exponent_array
+    out = np.empty(points.shape[0])
+    for start in range(0, points.shape[0], 4096):
+        block = points[start : start + 4096]
+        monos = np.prod(block[:, None, :] ** exps[None, :, :], axis=2)
+        out[start : start + 4096] = monos @ f.coeffs
+    return out
+
+
 def singular_circle_points(k: int) -> np.ndarray:
     """k evenly spaced points on the circle where the sphere meets the plane."""
     theta = np.linspace(0.0, 2.0 * np.pi, k, endpoint=False)

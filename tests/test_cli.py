@@ -1,8 +1,10 @@
+import functools
 import json
 
 import numpy as np
 import pytest
 
+from varietyfit import cli
 from varietyfit.cli import main
 from varietyfit.cloud import load_cloud
 from varietyfit.modelio import load_model
@@ -198,3 +200,74 @@ def test_pipeline_writes_distance_table(tmp_path):
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["command"] == "pipeline"
     assert len(manifest["results"]["table"]) == 2
+
+
+def _fitted(tmp_path):
+    run("gen", "sphere-plane", "--m", 150, "--seed", 2, "-o", tmp_path / "omega.csv")
+    run("fit", "-i", tmp_path / "omega.csv", "-D", 3, "-o", tmp_path / "model.json")
+
+
+MANIFEST_CASES = [
+    (["gen", "noisy-line", "--m", 30, "--sigma", 0.01, "--seed", 1, "-o", "g.csv"],
+     "g.csv.manifest.json"),
+    (["fit", "-i", "omega.csv", "-D", 2, "-o", "m2.json"], "m2.json.manifest.json"),
+    (["sample", "--model", "model.json", "--m", 40, "--seed", 3, "-o", "s.csv"],
+     "s.csv.manifest.json"),
+    (["singular", "--model", "model.json", "-i", "omega.csv", "--epsilon", 0.02,
+      "-o", "x.csv"], "x.csv.manifest.json"),
+    (["compare", "--input-a", "omega.csv", "--input-b", "omega.csv", "-o", "c.json"],
+     "c.json.manifest.json"),
+    (["export-algebra", "--model", "model.json", "-o", "a.sing"], "a.sing.manifest.json"),
+    (["pipeline", "--m", 100, "--degrees", "3", "--seed", 4, "--outdir", "pipe"],
+     "pipe/manifest.json"),
+]
+
+
+@pytest.mark.parametrize("argv,manifest", MANIFEST_CASES, ids=[a[0] for a, _ in MANIFEST_CASES])
+def test_every_command_writes_manifest(tmp_path, argv, manifest):
+    _fitted(tmp_path)
+    paths = {"omega.csv", "model.json", argv[-1]}
+    assert run(*(tmp_path / a if a in paths else a for a in argv)) == 0
+    doc = json.loads((tmp_path / manifest).read_text())
+    assert set(doc) == {"command", "arguments", "seed", "started_utc", "duration_s", "results"}
+    assert doc["command"] == argv[0]
+    assert "func" not in doc["arguments"] and "command" not in doc["arguments"]
+    assert doc["seed"] == doc["arguments"].get("seed")
+    assert doc["duration_s"] >= 0 and doc["results"]
+
+
+def test_compare_nonconvergence_exits_3_without_manifest(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(
+        cli, "wasserstein_sinkhorn", functools.partial(cli.wasserstein_sinkhorn, max_iters=1)
+    )
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    run("gen", "sphere-plane-singular", "--m", 20, "--seed", 13, "-o", a)
+    run("gen", "sphere-plane-singular", "--m", 30, "--seed", 14, "-o", b)
+    metrics = tmp_path / "m.json"
+    assert run("compare", "--input-a", a, "--input-b", b, "-o", metrics) == 3
+    assert "did not converge" in capsys.readouterr().err
+    assert not metrics.exists()
+    assert not (tmp_path / "m.json.manifest.json").exists()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["fit", "singular", "compare"])
+def test_non_finite_cloud_is_input_error(tmp_path, capsys, command, bad):
+    _fitted(tmp_path)
+    lines = (tmp_path / "omega.csv").read_text().splitlines()
+    lines[6] = f"0.5,{bad},0.5"
+    cloud = tmp_path / "bad.csv"
+    cloud.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    argv = {
+        "fit": ["fit", "-i", cloud, "-D", 3, "-o", out],
+        "singular": ["singular", "--model", tmp_path / "model.json", "-i", cloud,
+                     "--epsilon", 0.02, "-o", out],
+        "compare": ["compare", "--input-a", cloud, "--input-b", tmp_path / "omega.csv",
+                    "-o", out],
+    }[command]
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert "line 7" in err and "non-finite" in err
+    assert not out.exists()

@@ -3,7 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from varietyfit.cloud import PointCloud
+from varietyfit.fitting import vandermonde
 from varietyfit.polynomials import (
     Poly,
     enumerate_monomials,
@@ -13,7 +17,7 @@ from varietyfit.polynomials import (
 )
 from varietyfit.datasets import sphere_plane_polynomial
 
-from conftest import singular_circle_points
+from conftest import broadcast_evaluate, singular_circle_points
 
 
 def test_basis_n2_d1_order():
@@ -202,3 +206,41 @@ def test_basis_index_lookup():
     basis = enumerate_monomials(3, 2)
     for k, alpha in enumerate(basis.exponents):
         assert basis.index(alpha) == k
+
+
+def _check_kernel_equivalence(n, degree, m, seed):
+    rng = np.random.default_rng(seed)
+    basis = enumerate_monomials(n, degree)
+    f = Poly(basis, rng.standard_normal(len(basis)))
+    pts = rng.random((m, n))
+    values = f.evaluate(pts)
+    assert np.array_equal(values, broadcast_evaluate(f, pts))
+    if m <= 4096:
+        assert np.array_equal(vandermonde(PointCloud(pts), basis) @ f.coeffs, values)
+    grads = f.gradient(pts)
+    for j, g in enumerate(gradient_polys(f)):
+        assert np.array_equal(grads[:, j], g.evaluate(pts))
+    # Rows split at block boundaries give the same bits as the whole. Other
+    # cuts need not: the BLAS matrix-vector kernel may sum a row in a
+    # different order depending on where the row sits in its block.
+    for cut in range(4096, m, 4096):
+        assert np.array_equal(np.concatenate([f.evaluate(pts[:cut]), f.evaluate(pts[cut:])]), values)
+        assert np.array_equal(np.concatenate([f.gradient(pts[:cut]), f.gradient(pts[cut:])]), grads)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    degree=st.integers(0, 5),
+    m=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_monomial_kernel_matches_broadcast_reference(n, degree, m, seed):
+    # evaluate, vandermonde @ c and gradient agree bit for bit with the
+    # independent broadcast kernel and the derivative polynomials
+    _check_kernel_equivalence(n, degree, m, seed)
+
+
+@pytest.mark.parametrize("n,degree", [(1, 5), (3, 3), (5, 5)])
+def test_monomial_kernel_across_block_boundary(n, degree):
+    _check_kernel_equivalence(n, degree, 2 * 4096 + 7, 4103)

@@ -113,19 +113,6 @@ def test_eta_monotonicity_on_fixed_stream():
     assert len(sets["small"]) < len(sets["large"])
 
 
-def test_indexed_parallel_mode_deterministic():
-    cfg = SamplerConfig(seed=21, target_m=300, eta=0.05)
-    a = direct_sample(XMY, cfg, mode="indexed-parallel", workers=3)
-    b = direct_sample(XMY, cfg, mode="indexed-parallel", workers=3)
-    assert np.array_equal(a.points, b.points)
-    assert a.m == 300
-    assert (np.abs(a.points[:, 0] - a.points[:, 1]) < 0.05).all()
-    with pytest.raises(ValueError):
-        direct_sample(XMY, cfg, mode="scrambled")
-    with pytest.raises(ValueError):
-        direct_sample(XMY, cfg, mode="indexed-parallel", workers=0)
-
-
 def test_rejection_accepts_on_variety_points():
     # acceptance probability is exactly 1 where f vanishes, so on-variety
     # proposals always land in the output
