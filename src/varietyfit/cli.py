@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .cloud import (
     CloudFormatError,
@@ -159,15 +160,15 @@ def cmd_singular(args) -> dict:
     }
 
 
-def _compare(a: PointCloud, b: PointCloud, method: str, reg):
+def _solver(a: PointCloud, b: PointCloud, method: str) -> str:
     if method == "auto":
-        method = (
-            "exact" if a.m == b.m and a.m <= EXACT_SIZE_CAP else "sinkhorn"
-        )
-    if method == "exact":
+        return "exact" if a.m == b.m and a.m <= EXACT_SIZE_CAP else "sinkhorn"
+    return method
+
+
+def _compare(a: PointCloud, b: PointCloud, method: str, reg):
+    if _solver(a, b, method) == "exact":
         return wasserstein_exact(a, b)
-    if reg is None:
-        reg = 0.002 * float(np.median(cdist(a.points, b.points, "sqeuclidean")))
     return wasserstein_sinkhorn(a, b, reg=reg)
 
 
@@ -206,6 +207,13 @@ def cmd_export_algebra(args) -> dict:
     return {"scale": rational.scale}
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def cmd_pipeline(args) -> dict:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -221,7 +229,11 @@ def cmd_pipeline(args) -> dict:
         reference = cloud
     save_cloud(reference, outdir / "reference.csv")
 
-    rows = []
+    # Fit, sample and filter in degree order; then solve the transports.
+    # Exact ones are independent and release the GIL, so they run on up to
+    # one thread per usable CPU; Sinkhorn ones, which each hold several
+    # dense matrices, run one at a time. Rows get their distance at the end.
+    rows, resamples = [], []
     for degree in degrees:
         fit = fit_map(cloud, degree)
         model = ModelFile.from_fit(fit, seed=args.seed)
@@ -238,20 +250,32 @@ def cmd_pipeline(args) -> dict:
         report = singularity_filter(f, resampled, args.epsilon)
         if report.accepted_count:
             save_cloud(report.accepted, outdir / f"singular_D{degree}.csv")
-        plan = _compare(reference, resampled, args.compare_method, args.reg)
+        resamples.append(resampled)
         rows.append(
             {
                 "D": degree,
                 "lambda": fit.lam,
                 "kernel_dim": fit.kernel_dim,
-                "wasserstein": plan.cost,
+                "wasserstein": None,
                 "singular_count": report.accepted_count,
                 "acceptance_rate": stats["acceptance_rate"],
             }
         )
+
+    def distance(resampled):
+        return _compare(reference, resampled, args.compare_method, args.reg).cost
+
+    exact = all(
+        _solver(reference, r, args.compare_method) == "exact" for r in resamples
+    )
+    workers = min(len(degrees), _usable_cpus()) if exact else 1
+    with ThreadPoolExecutor(workers) as pool:
+        distances = list(pool.map(distance, resamples))
+    for row, w in zip(rows, distances):
+        row["wasserstein"] = w
         print(
-            f"D={degree}: lambda={fit.lam:.3e} kernel_dim={fit.kernel_dim} "
-            f"W={plan.cost:.4f} singular={report.accepted_count}"
+            f"D={row['D']}: lambda={row['lambda']:.3e} kernel_dim={row['kernel_dim']} "
+            f"W={w:.4f} singular={row['singular_count']}"
         )
 
     header = ["D", "lambda", "kernel_dim", "wasserstein", "singular_count", "acceptance_rate"]

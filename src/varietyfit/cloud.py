@@ -48,7 +48,11 @@ class NormalizationRecord:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """m points in R^n, with an optional record of how they were normalized."""
+    """m points in R^n, with an optional record of how they were normalized.
+
+    Points with a NaN or infinite coordinate are refused (ValueError naming
+    the first such row).
+    """
 
     points: np.ndarray
     normalization: NormalizationRecord | None = None
@@ -57,6 +61,12 @@ class PointCloud:
         pts = np.array(self.points, dtype=float)
         if pts.ndim != 2:
             raise ValueError(f"points must be a 2-d array, got ndim={pts.ndim}")
+        bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+        if bad.size:
+            raise ValueError(
+                f"point {bad[0]} is not finite: {pts[bad[0]].tolist()} "
+                f"({bad.size} non-finite rows)"
+            )
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 

@@ -1,15 +1,20 @@
 """Wasserstein distances between point clouds.
 
 Convention: 2-Wasserstein with Euclidean ground metric and uniform weights,
-reported as the root of the coupling-weighted mean squared distance. Equal
-small clouds get the exact assignment solver; anything else goes through
-entropically regularized Sinkhorn scaling (stabilized, kernel-domain), whose
-cost is reported sharp (without the entropy term).
+reported as the root of the coupling-weighted mean squared distance. Two
+solvers: the exact assignment solver for equal-size clouds, and entropically
+regularized Sinkhorn scaling (stabilized, kernel-domain) for any sizes, whose
+cost is reported sharp (without the entropy term). The library does not pick
+between them; the CLI's `compare` and `pipeline` do (cli._compare: exact for
+equal clouds of at most EXACT_SIZE_CAP points, Sinkhorn otherwise).
+
+Both solvers build the dense (m, m') squared-distance matrix, so both refuse
+m * m' > EXACT_SIZE_CAP**2 (128 MiB of float64) before allocating it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -24,31 +29,81 @@ __all__ = [
 ]
 
 EXACT_SIZE_CAP = 4096
+# wasserstein_sinkhorn's default reg, as a fraction of the median squared
+# distance between the two clouds.
+DEFAULT_REG_FRACTION = 0.002
 # Sinkhorn scalings outside [1 / ABSORB_BOUND, ABSORB_BOUND] are folded into
 # the log potentials before they can overflow or underflow the kernel.
 ABSORB_BOUND = 1e3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TransportPlan:
     """A coupling between two uniform clouds and its transport cost.
 
     cost      root of sum_ij coupling[i,j] * |a_i - b_j|^2
-    coupling  (m, m') nonnegative matrix with row sums 1/m, column sums 1/m'
+    coupling  (m, m') read-only nonnegative matrix with row sums 1/m, column
+              sums 1/m'
     method    "exact-assignment" or "sinkhorn"
+    matching  (rows, cols) of an exact plan, which couples a_rows[k] with
+              b_cols[k] at mass 1/m; None for a plan given its coupling
+
+    A plan is built from either a coupling or a matching (then coupling is
+    None). A matched plan stores only the two index arrays and fills its
+    dense coupling in the first time it is read. Build plans with the
+    constructor: dataclasses.replace does not apply to this class.
     """
 
     cost: float
-    coupling: np.ndarray
     method: str
-    iterations: int = 0
-    converged: bool = True
-    marginal_error: float = 0.0
+    iterations: int
+    converged: bool
+    marginal_error: float
+    matching: tuple[np.ndarray, np.ndarray] | None = field(repr=False)
+    _coupling: np.ndarray | None = field(repr=False)
 
-    def __post_init__(self) -> None:
-        c = np.array(self.coupling, dtype=float)
-        c.setflags(write=False)
-        object.__setattr__(self, "coupling", c)
+    def __init__(
+        self,
+        cost: float,
+        coupling: np.ndarray | None,
+        method: str,
+        iterations: int = 0,
+        converged: bool = True,
+        marginal_error: float = 0.0,
+        matching: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> None:
+        if (coupling is None) == (matching is None):
+            raise ValueError("a plan needs exactly one of coupling and matching")
+        if coupling is not None:
+            coupling = _read_only(coupling)
+        else:
+            matching = tuple(_read_only(idx, dtype=np.intp) for idx in matching)
+        for name, value in (
+            ("cost", cost),
+            ("method", method),
+            ("iterations", iterations),
+            ("converged", converged),
+            ("marginal_error", marginal_error),
+            ("matching", matching),
+            ("_coupling", coupling),
+        ):
+            object.__setattr__(self, name, value)
+
+    @property
+    def coupling(self) -> np.ndarray:
+        if self._coupling is None:
+            rows, cols = self.matching
+            c = np.zeros((len(rows), len(cols)))
+            c[rows, cols] = 1.0 / len(rows)
+            c.setflags(write=False)
+            object.__setattr__(self, "_coupling", c)
+        return self._coupling
+
+
+def _read_only(values, dtype=float) -> np.ndarray:
+    a = np.array(values, dtype=dtype)
+    a.setflags(write=False)
+    return a
 
 
 def _check_dims(a: PointCloud, b: PointCloud) -> None:
@@ -65,7 +120,8 @@ def wasserstein_exact(
 
     Solves the squared-Euclidean assignment problem in polynomial time;
     the cost is (mean squared matched distance)^(1/2). Clouds larger than
-    size_cap are refused: use wasserstein_sinkhorn for those.
+    size_cap are refused: use wasserstein_sinkhorn for those. The plan
+    keeps only the matching; the cost matrix is freed on return.
     """
     _check_dims(a, b)
     if a.m != b.m:
@@ -81,9 +137,7 @@ def wasserstein_exact(
     C = cdist(a.points, b.points, metric="sqeuclidean")
     rows, cols = linear_sum_assignment(C)
     cost = float(np.sqrt(np.mean(C[rows, cols])))
-    coupling = np.zeros_like(C)
-    coupling[rows, cols] = 1.0 / a.m
-    return TransportPlan(cost=cost, coupling=coupling, method="exact-assignment")
+    return TransportPlan(cost, None, "exact-assignment", matching=(rows, cols))
 
 
 def _kernel(f: np.ndarray, g: np.ndarray, C: np.ndarray, eps: float) -> np.ndarray:
@@ -102,11 +156,15 @@ def _kernel(f: np.ndarray, g: np.ndarray, C: np.ndarray, eps: float) -> np.ndarr
 def wasserstein_sinkhorn(
     a: PointCloud,
     b: PointCloud,
-    reg: float,
+    reg: float | None = None,
     max_iters: int = 20000,
     tol: float = 1e-6,
 ) -> TransportPlan:
     """Entropically regularized transport between uniform clouds.
+
+    reg=None means DEFAULT_REG_FRACTION times the median squared distance
+    between the clouds. Clouds with m * m' > EXACT_SIZE_CAP**2 are refused
+    before anything is allocated: every dense matrix here has that shape.
 
     Runs stabilized kernel-domain Sinkhorn scaling (Schmitzer 2019; Peyre &
     Cuturi 2019, sec. 4.4) with a geometric warm-start schedule down to the
@@ -124,14 +182,21 @@ def wasserstein_sinkhorn(
     reached, so it stays a usable diagnostic.
     """
     _check_dims(a, b)
-    if not (np.isfinite(reg) and reg > 0):
-        raise ValueError(f"reg must be finite and > 0, got {reg}")
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     if not max_iters >= 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     m, mp = a.m, b.m
+    if m * mp > EXACT_SIZE_CAP**2:
+        raise ValueError(
+            f"a {m} x {mp} cost matrix needs {8 * m * mp} bytes, over the "
+            f"{8 * EXACT_SIZE_CAP**2}-byte budget for one dense matrix"
+        )
     C = cdist(a.points, b.points, metric="sqeuclidean")
+    if reg is None:
+        reg = DEFAULT_REG_FRACTION * float(np.median(C))
+    if not (np.isfinite(reg) and reg > 0):
+        raise ValueError(f"reg must be finite and > 0, got {reg}")
     mu = np.full(m, 1.0 / m)
     nu = np.full(mp, 1.0 / mp)
 

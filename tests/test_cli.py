@@ -6,8 +6,10 @@ import pytest
 
 from varietyfit import cli
 from varietyfit.cli import main
-from varietyfit.cloud import load_cloud
+from varietyfit.cloud import load_cloud, save_cloud
+from varietyfit.datasets import gen_sphere_plane
 from varietyfit.modelio import load_model
+from varietyfit.transport import wasserstein_exact
 
 
 def run(*args):
@@ -200,6 +202,58 @@ def test_pipeline_writes_distance_table(tmp_path):
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["command"] == "pipeline"
     assert len(manifest["results"]["table"]) == 2
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_pipeline_distances_equal_one_degree_at_a_time(tmp_path, monkeypatch, cpus):
+    # The transports run on min(#degrees, usable CPUs) threads; every
+    # thread count must give the sequential solver's bytes.
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    outdir = tmp_path / "pipe"
+    assert run("pipeline", "--m", 200, "--seed", 18, "--degrees", "1,2,3",
+               "--outdir", outdir) == 0
+    reference = load_cloud(outdir / "reference.csv")
+    lines = (outdir / "distances.csv").read_text().splitlines()
+    expected = [lines[0]]
+    for line in lines[1:]:
+        cells = line.split(",")
+        resampled = load_cloud(outdir / f"resampled_D{cells[0]}.csv")
+        cells[3] = f"{wasserstein_exact(reference, resampled).cost:.17g}"
+        expected.append(",".join(cells))
+    assert [l.split(",")[0] for l in lines[1:]] == ["1", "2", "3"]
+    assert lines == expected
+
+
+@pytest.mark.parametrize("method, workers", [("exact", 3), ("sinkhorn", 1)])
+def test_pipeline_runs_only_exact_transports_concurrently(
+    tmp_path, monkeypatch, method, workers
+):
+    # Each Sinkhorn solve holds several dense matrices, so those stay serial.
+    pools = []
+
+    class Pool(cli.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
+    assert run("pipeline", "--m", 120, "--seed", 20, "--degrees", "1,2,3",
+               "--compare-method", method, "--outdir", tmp_path / "pipe") == 0
+    assert pools == [workers]
+
+
+def test_pipeline_transport_error_exits_2_without_manifest(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    reference = tmp_path / "ref.csv"
+    save_cloud(gen_sphere_plane(300, 0.5, seed=19), reference)
+    outdir = tmp_path / "pipe"
+    assert run("pipeline", "--m", 200, "--seed", 19, "--degrees", "1,2,3",
+               "--reference", reference, "--compare-method", "exact",
+               "--outdir", outdir) == 2
+    assert "equal cloud sizes" in capsys.readouterr().err
+    assert not (outdir / "manifest.json").exists()
+    assert not (outdir / "distances.csv").exists()
 
 
 def _fitted(tmp_path):

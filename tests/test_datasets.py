@@ -186,6 +186,15 @@ def test_csv_empty_rejected(tmp_path):
         save_cloud(PointCloud(np.ones((1, 1))), path, format="parquet")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_point_cloud_rejects_non_finite(bad):
+    pts = np.random.default_rng(11).random((100, 3))
+    pts[5, 1] = bad
+    pts[9, 0] = bad
+    with pytest.raises(ValueError, match=r"point 5 is not finite.*2 non-finite rows"):
+        PointCloud(pts)
+
+
 # -------------------------------------------------------------- normalization
 
 

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
 from varietyfit import transport
 from varietyfit.cloud import PointCloud
 from varietyfit.transport import (
+    EXACT_SIZE_CAP,
     TransportPlan,
     wasserstein_exact,
     wasserstein_sinkhorn,
@@ -282,3 +284,60 @@ def test_plan_is_frozen_record():
     plan = TransportPlan(cost=1.0, coupling=np.eye(2) / 2, method="exact-assignment")
     with pytest.raises(ValueError):
         plan.coupling[0, 0] = 5.0
+
+
+def test_exact_coupling_equals_dense_construction():
+    rng = np.random.default_rng(15)
+    a = PointCloud(rng.random((60, 3)))
+    b = PointCloud(rng.random((60, 3)))
+    plan = wasserstein_exact(a, b)
+    C = cdist(a.points, b.points, metric="sqeuclidean")
+    rows, cols = linear_sum_assignment(C)
+    dense = np.zeros_like(C)
+    dense[rows, cols] = 1.0 / a.m
+    assert np.array_equal(plan.matching[0], rows) and np.array_equal(plan.matching[1], cols)
+    P = plan.coupling
+    assert np.array_equal(P, dense)
+    assert plan.coupling is P
+    for array in (P, *plan.matching):
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def test_plan_needs_exactly_one_of_coupling_and_matching():
+    with pytest.raises(ValueError):
+        TransportPlan(0.0, None, "exact-assignment")
+    with pytest.raises(ValueError):
+        TransportPlan(0.0, np.eye(1), "exact-assignment", matching=([0], [0]))
+    # A plan must name its solver.
+    with pytest.raises(TypeError):
+        TransportPlan(0.0, np.eye(1))
+
+
+def test_sinkhorn_default_reg_is_median_fraction():
+    rng = np.random.default_rng(16)
+    a = PointCloud(rng.random((30, 3)))
+    b = PointCloud(rng.random((45, 3)))
+    reg = 0.002 * float(np.median(cdist(a.points, b.points, "sqeuclidean")))
+    default, explicit = wasserstein_sinkhorn(a, b), wasserstein_sinkhorn(a, b, reg=reg)
+    assert default.cost == explicit.cost
+    assert default.iterations == explicit.iterations
+    assert np.array_equal(default.coupling, explicit.coupling)
+    # Clouds at one point have median distance 0, so no default reg exists.
+    same = PointCloud(np.full((3, 2), 0.5))
+    with pytest.raises(ValueError, match="reg"):
+        wasserstein_sinkhorn(same, same)
+
+
+def test_sinkhorn_refuses_cost_matrix_over_budget(monkeypatch):
+    def no_cost_matrix(*args, **kwargs):
+        raise AssertionError("cost matrix built")
+
+    monkeypatch.setattr(transport, "cdist", no_cost_matrix)
+    big = PointCloud(np.zeros((5000, 1)))
+    with pytest.raises(ValueError, match="5000 x 4000 cost matrix needs 160000000 bytes"):
+        wasserstein_sinkhorn(big, PointCloud(np.zeros((4000, 1))), reg=0.1)
+    # A matrix of exactly the budget passes the check and reaches cdist.
+    at_cap = PointCloud(np.zeros((EXACT_SIZE_CAP, 1)))
+    with pytest.raises(AssertionError, match="cost matrix built"):
+        wasserstein_sinkhorn(at_cap, at_cap, reg=0.1)
