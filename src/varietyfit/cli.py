@@ -167,20 +167,22 @@ def _solver(a: PointCloud, b: PointCloud, method: str) -> str:
 
 
 def _compare(a: PointCloud, b: PointCloud, method: str, reg):
+    """Transport plan from a to b; a Sinkhorn solve cut short raises."""
     if _solver(a, b, method) == "exact":
         return wasserstein_exact(a, b)
-    return wasserstein_sinkhorn(a, b, reg=reg)
+    plan = wasserstein_sinkhorn(a, b, reg=reg)
+    if not plan.converged:
+        raise _NotConverged(
+            f"sinkhorn did not converge in {plan.iterations} iterations "
+            f"(marginal error {plan.marginal_error:.3e})"
+        )
+    return plan
 
 
 def cmd_compare(args) -> dict:
     a = load_cloud(args.input_a, header=args.header)
     b = load_cloud(args.input_b, header=args.header)
     plan = _compare(a, b, args.method, args.reg)
-    if plan.method == "sinkhorn" and not plan.converged:
-        raise _NotConverged(
-            f"sinkhorn did not converge in {plan.iterations} iterations "
-            f"(marginal error {plan.marginal_error:.3e})"
-        )
     print(f"wasserstein {plan.cost:.6f} ({plan.method})")
     results = {
         "distance": plan.cost,

@@ -103,28 +103,99 @@ def save_model(model: ModelFile, path) -> None:
         fh.write("\n")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _finite_floats(values, length: int) -> np.ndarray | None:
+    # The list as floats, or None unless it holds exactly `length` finite
+    # JSON numbers (booleans and nulls are not numbers here).
+    if not isinstance(values, list) or len(values) != length:
+        return None
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        return None
+    try:
+        out = np.array([float(v) for v in values])
+    except OverflowError:
+        return None
+    return out if np.isfinite(out).all() else None
+
+
 def load_model(path) -> ModelFile:
+    """Read a model file, checking its shape, key types and finiteness.
+
+    A malformed file raises ValueError naming the path and the field.
+    """
+
+    def bad(field: str, what: str) -> ValueError:
+        return ValueError(f"{path}: model field {field!r} {what}")
+
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("ordering") != ORDERING_TAG:
-        raise ValueError(f"unsupported monomial ordering {doc.get('ordering')!r}")
-    norm = doc.get("normalization")
-    record = (
-        None
-        if norm is None
-        else NormalizationRecord(
-            scale=np.array(norm["scale"]), offset=np.array(norm["offset"])
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: not a JSON model file ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ValueError(
+            f"{path}: model file must hold a JSON object, got {type(doc).__name__}"
         )
-    )
+    for key in ("n", "degree", "exponents", "coefficients", "lambda", "kernel_dim"):
+        if key not in doc:
+            raise bad(key, "is missing")
+    if doc.get("ordering") != ORDERING_TAG:
+        raise bad("ordering", f"must be {ORDERING_TAG!r}, got {doc.get('ordering')!r}")
+    for key, least in (("n", 1), ("degree", 0), ("kernel_dim", 0)):
+        if not _is_int(doc[key]) or doc[key] < least:
+            raise bad(key, f"must be an integer >= {least}, got {doc[key]!r}")
+    n = doc["n"]
+    exponents = doc["exponents"]
+    if not (
+        isinstance(exponents, list)
+        and exponents
+        and all(
+            isinstance(alpha, list)
+            and len(alpha) == n
+            and all(_is_int(e) and e >= 0 for e in alpha)
+            for alpha in exponents
+        )
+    ):
+        raise bad(
+            "exponents", f"must be a non-empty list of {n} non-negative integers per term"
+        )
+    coefficients = _finite_floats(doc["coefficients"], len(exponents))
+    if coefficients is None:
+        raise bad("coefficients", f"must be a list of {len(exponents)} finite numbers")
+    lam = _finite_floats([doc["lambda"]], 1)
+    if lam is None:
+        raise bad("lambda", f"must be a finite number, got {doc['lambda']!r}")
+    kind = doc.get("kind", "map")
+    if not isinstance(kind, str):
+        raise bad("kind", f"must be a string, got {kind!r}")
+    seed = doc.get("seed")
+    if seed is not None and not _is_int(seed):
+        raise bad("seed", f"must be an integer or null, got {seed!r}")
+    norm = doc.get("normalization")
+    record = None
+    if norm is not None:
+        scale = offset = None
+        if isinstance(norm, dict):
+            scale = _finite_floats(norm.get("scale"), n)
+            offset = _finite_floats(norm.get("offset"), n)
+        if scale is None or offset is None:
+            raise bad(
+                "normalization",
+                f"must be null or hold 'scale' and 'offset', {n} finite numbers each",
+            )
+        record = NormalizationRecord(scale=scale, offset=offset)
     return ModelFile(
-        n=int(doc["n"]),
-        degree=int(doc["degree"]),
-        exponents=tuple(tuple(int(e) for e in alpha) for alpha in doc["exponents"]),
-        coefficients=np.array(doc["coefficients"], dtype=float),
-        lam=float(doc["lambda"]),
-        kernel_dim=int(doc["kernel_dim"]),
-        kind=str(doc.get("kind", "map")),
-        seed=doc.get("seed"),
+        n=n,
+        degree=doc["degree"],
+        exponents=tuple(tuple(alpha) for alpha in exponents),
+        coefficients=coefficients,
+        lam=float(lam[0]),
+        kernel_dim=doc["kernel_dim"],
+        kind=kind,
+        seed=seed,
         normalization=record,
     )
 

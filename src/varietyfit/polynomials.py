@@ -203,17 +203,38 @@ class Poly:
 def monomials(points: np.ndarray, basis: MonomialBasis) -> np.ndarray:
     """Monomial table M[i, k] = x_i^alpha_k of (m, n) points, shape (m, N).
 
-    Each variable's powers are tabulated once and gathered by exponent,
-    multiplying into the result in variable order. This is the one place
-    points are raised to powers: fitting, evaluation and gradients share it.
+    Each variable's powers x_j^a are computed once per call as contiguous
+    vectors: x_j^0 is 1.0 and x_j^1 is x_j, exactly; powers of 2 and up
+    come from ``np.power`` with an array exponent. Row k of an (N, m)
+    buffer is then the product of the nonzero factors of alpha_k in
+    variable order, and the transposed copy is returned C-contiguous.
+    This is the one place points are raised to powers: fitting,
+    evaluation and gradients share it.
     """
-    exps = basis.exponent_array
-    max_pow = exps.max(axis=0)
-    out = np.ones((points.shape[0], len(basis)))
-    for j in range(basis.n):
-        table = points[:, j][:, None] ** np.arange(max_pow[j] + 1)[None, :]
-        out *= table[:, exps[:, j]]
-    return out
+    cols = np.ascontiguousarray(np.asarray(points, dtype=float).T)
+    m = cols.shape[1]
+    # The exponent must be an array, not a scalar: a scalar 2 takes numpy's
+    # squaring fast path, which differs from pow() in the last bit at about
+    # 5% of uniform points in [0, 1), and repeated multiplication x*x*x
+    # differs from pow() at about 26% (numpy 2.4 on AVX-512, where its
+    # vectorized pow is not correctly rounded). Either would change the
+    # table's bits, and with them every seeded fit, sample and filter.
+    powers = [
+        {1: x} | {a: np.power(x, np.full(m, float(a))) for a in range(2, top + 1)}
+        for x, top in zip(cols, basis.exponent_array.max(axis=0))
+    ]
+    table = np.empty((len(basis), m))
+    for row, alpha in zip(table, basis.exponents):
+        factors = [powers[j][a] for j, a in enumerate(alpha) if a]
+        if not factors:
+            row.fill(1.0)
+        elif len(factors) == 1:
+            row[:] = factors[0]
+        else:
+            np.multiply(factors[0], factors[1], out=row)
+            for factor in factors[2:]:
+                row *= factor
+    return np.ascontiguousarray(table.T)
 
 
 def gradient_polys(f: Poly) -> tuple[Poly, ...]:

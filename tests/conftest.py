@@ -42,18 +42,26 @@ def sphere_plane_reference() -> Poly:
     )
 
 
-def broadcast_evaluate(f: Poly, points: np.ndarray) -> np.ndarray:
-    """Evaluate f at (m, n) points by a direct (rows, N, n) power broadcast.
+def broadcast_monomials(points: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """(m, N) table of x^alpha by a direct (m, N, n) power broadcast.
 
-    Independent of the package's monomial table; rows go in blocks of 4096
-    so each block's product has the same shape as Poly.evaluate's.
+    Independent of the package's monomial table: every factor, exponents 0
+    and 1 included, goes through pow() with an array exponent.
+    """
+    return np.prod(points[:, None, :] ** exps[None, :, :], axis=2)
+
+
+def broadcast_evaluate(f: Poly, points: np.ndarray) -> np.ndarray:
+    """Evaluate f at (m, n) points against the broadcast monomial table.
+
+    Rows go in blocks of 4096 so each block's product has the same shape
+    as Poly.evaluate's.
     """
     exps = f.basis.exponent_array
     out = np.empty(points.shape[0])
     for start in range(0, points.shape[0], 4096):
         block = points[start : start + 4096]
-        monos = np.prod(block[:, None, :] ** exps[None, :, :], axis=2)
-        out[start : start + 4096] = monos @ f.coeffs
+        out[start : start + 4096] = broadcast_monomials(block, exps) @ f.coeffs
     return out
 
 

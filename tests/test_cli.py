@@ -229,6 +229,9 @@ def test_pipeline_runs_only_exact_transports_concurrently(
     tmp_path, monkeypatch, method, workers
 ):
     # Each Sinkhorn solve holds several dense matrices, so those stay serial.
+    # At m = 120 the default reg needs more than the 20000-iteration cap on
+    # two of these degrees, and a solve cut short now exits 3; reg = 0.005
+    # converges in under 900 iterations on all three.
     pools = []
 
     class Pool(cli.ThreadPoolExecutor):
@@ -238,7 +241,7 @@ def test_pipeline_runs_only_exact_transports_concurrently(
 
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
     monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
-    assert run("pipeline", "--m", 120, "--seed", 20, "--degrees", "1,2,3",
+    assert run("pipeline", "--m", 120, "--seed", 20, "--degrees", "1,2,3", "--reg", 0.005,
                "--compare-method", method, "--outdir", tmp_path / "pipe") == 0
     assert pools == [workers]
 
@@ -325,3 +328,98 @@ def test_non_finite_cloud_is_input_error(tmp_path, capsys, command, bad):
     err = capsys.readouterr().err
     assert "line 7" in err and "non-finite" in err
     assert not out.exists()
+
+
+def test_pipeline_nonconvergence_exits_3_without_manifest(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(
+        cli, "wasserstein_sinkhorn", functools.partial(cli.wasserstein_sinkhorn, max_iters=1)
+    )
+    outdir = tmp_path / "pipe"
+    assert run("pipeline", "--m", 100, "--seed", 1, "--degrees", "1,3",
+               "--compare-method", "sinkhorn", "--outdir", outdir) == 3
+    assert "did not converge" in capsys.readouterr().err
+    assert not (outdir / "manifest.json").exists()
+    assert not (outdir / "distances.csv").exists()
+
+
+def _set(key, value):
+    def edit(doc):
+        doc[key] = value
+        return doc
+    return edit
+
+
+def _set_item(key, index, value):
+    def edit(doc):
+        doc[key][index] = value
+        return doc
+    return edit
+
+
+def _drop(key):
+    def edit(doc):
+        del doc[key]
+        return doc
+    return edit
+
+
+# (case id, edit of a good model document, field the error must name)
+MALFORMED_MODELS = [
+    ("top-level-list", lambda doc: [doc], "JSON object"),
+    ("not-json", None, "not a JSON model file"),
+    ("no-coefficients", _drop("coefficients"), "'coefficients'"),
+    ("no-exponents", _drop("exponents"), "'exponents'"),
+    ("no-lambda", _drop("lambda"), "'lambda'"),
+    ("exponents-int", _set("exponents", 5), "'exponents'"),
+    ("exponent-short", _set_item("exponents", 0, [3, 0]), "'exponents'"),
+    ("exponent-negative", _set_item("exponents", 0, [3, 0, -1]), "'exponents'"),
+    ("n-bool", _set("n", True), "'n'"),
+    ("n-string", _set("n", "3"), "'n'"),
+    ("coefficient-null", _set_item("coefficients", 2, None), "'coefficients'"),
+    ("coefficient-nan", _set_item("coefficients", 2, float("nan")), "'coefficients'"),
+    ("coefficient-inf", _set_item("coefficients", 2, float("-inf")), "'coefficients'"),
+    ("coefficient-string", _set_item("coefficients", 2, "0.5"), "'coefficients'"),
+    ("coefficient-huge", _set_item("coefficients", 2, 10**400), "'coefficients'"),
+    ("coefficients-short", lambda doc: {**doc, "coefficients": doc["coefficients"][:-1]},
+     "'coefficients'"),
+    ("lambda-nan", _set("lambda", float("nan")), "'lambda'"),
+    ("lambda-null", _set("lambda", None), "'lambda'"),
+    ("kernel-dim-float", _set("kernel_dim", 1.5), "'kernel_dim'"),
+    ("ordering", _set("ordering", "lex"), "'ordering'"),
+    ("seed-string", _set("seed", "7"), "'seed'"),
+    ("normalization-nan", _set("normalization", {"scale": [1, 1, float("nan")],
+                                                 "offset": [0, 0, 0]}), "'normalization'"),
+    ("normalization-list", _set("normalization", [1, 1, 1]), "'normalization'"),
+]
+
+
+@pytest.fixture(scope="module")
+def good_model(tmp_path_factory):
+    root = tmp_path_factory.mktemp("good")
+    _fitted(root)
+    return root
+
+
+@pytest.mark.parametrize("command", ["sample", "singular", "export-algebra"])
+@pytest.mark.parametrize("edit,field", [c[1:] for c in MALFORMED_MODELS],
+                         ids=[c[0] for c in MALFORMED_MODELS])
+def test_malformed_model_is_input_error(tmp_path, capsys, good_model, command, edit, field):
+    bad = tmp_path / "bad.json"
+    if edit is None:
+        bad.write_text("{\"n\": 3,")
+    else:
+        doc = json.loads((good_model / "model.json").read_text())
+        bad.write_text(json.dumps(edit(doc)))
+    out = tmp_path / "out"
+    argv = {
+        "sample": ["sample", "--model", bad, "--m", 5, "--seed", 1, "-o", out],
+        "singular": ["singular", "--model", bad, "-i", good_model / "omega.csv",
+                     "--epsilon", 0.02, "-o", out],
+        "export-algebra": ["export-algebra", "--model", bad, "-o", out],
+    }[command]
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and field in err
+    assert not out.exists()
+    assert not (tmp_path / "out.manifest.json").exists()

@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varietyfit.cloud import (
     CloudFormatError,
+    NormalizationRecord,
     PointCloud,
     add_gaussian_noise,
     denormalize,
@@ -30,6 +33,7 @@ from varietyfit.modelio import (
     load_model,
     save_model,
 )
+from varietyfit.polynomials import enumerate_monomials
 
 from conftest import SPHERE_PLANE_TERMS, distance_to_line
 
@@ -269,6 +273,51 @@ def test_model_round_trip_bit_exact(tmp_path):
     assert np.array_equal(
         again.polynomial().coeffs, model.polynomial().coeffs
     )
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def model_files(draw):
+    n = draw(st.integers(1, 4))
+    basis = enumerate_monomials(n, draw(st.integers(0, 4)))
+    vectors = st.lists(FINITE, min_size=n, max_size=n)
+    normalization = draw(st.none() | st.builds(NormalizationRecord, vectors, vectors))
+    return ModelFile(
+        n=n,
+        degree=basis.degree,
+        exponents=basis.exponents,
+        coefficients=draw(st.lists(FINITE, min_size=len(basis), max_size=len(basis))),
+        lam=draw(FINITE),
+        kernel_dim=draw(st.integers(0, 50)),
+        kind=draw(st.sampled_from(["map", "intersected"])),
+        seed=draw(st.none() | st.integers(-(2**63), 2**63)),
+        normalization=normalization,
+    )
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(model=model_files())
+def test_model_save_load_round_trip_is_bit_exact(tmp_path_factory, model):
+    # Signed zeros, subnormals and extreme magnitudes included.
+    path = tmp_path_factory.mktemp("roundtrip") / "model.json"
+    save_model(model, path)
+    again = load_model(path)
+    assert _bits(again.coefficients) == _bits(model.coefficients)
+    assert _bits(again.lam) == _bits(model.lam)
+    assert again.exponents == model.exponents
+    assert (again.n, again.degree, again.kernel_dim) == (model.n, model.degree, model.kernel_dim)
+    assert (again.kind, again.seed, again.ordering) == (model.kind, model.seed, model.ordering)
+    if model.normalization is None:
+        assert again.normalization is None
+    else:
+        assert _bits(again.normalization.scale) == _bits(model.normalization.scale)
+        assert _bits(again.normalization.offset) == _bits(model.normalization.offset)
 
 
 def test_model_intersected_kind(tmp_path):

@@ -12,12 +12,13 @@ from varietyfit.polynomials import (
     Poly,
     enumerate_monomials,
     gradient_polys,
+    monomials,
     multiply,
     sum_of_squares,
 )
 from varietyfit.datasets import sphere_plane_polynomial
 
-from conftest import broadcast_evaluate, singular_circle_points
+from conftest import broadcast_evaluate, broadcast_monomials, singular_circle_points
 
 
 def test_basis_n2_d1_order():
@@ -208,15 +209,25 @@ def test_basis_index_lookup():
         assert basis.index(alpha) == k
 
 
+def _same_bits(a, b):
+    # Equal shape and bytes: stricter than array_equal, which ignores the
+    # sign of zero. The package's table must also be C-contiguous.
+    return a.shape == b.shape and a.flags.c_contiguous and a.tobytes() == b.tobytes()
+
+
 def _check_kernel_equivalence(n, degree, m, seed):
     rng = np.random.default_rng(seed)
     basis = enumerate_monomials(n, degree)
     f = Poly(basis, rng.standard_normal(len(basis)))
     pts = rng.random((m, n))
+    table = monomials(pts, basis)
+    assert _same_bits(table, broadcast_monomials(pts, basis.exponent_array))
     values = f.evaluate(pts)
     assert np.array_equal(values, broadcast_evaluate(f, pts))
     if m <= 4096:
-        assert np.array_equal(vandermonde(PointCloud(pts), basis) @ f.coeffs, values)
+        U = vandermonde(PointCloud(pts), basis)
+        assert _same_bits(U, table)
+        assert np.array_equal(U @ f.coeffs, values)
     grads = f.gradient(pts)
     for j, g in enumerate(gradient_polys(f)):
         assert np.array_equal(grads[:, j], g.evaluate(pts))
@@ -244,3 +255,67 @@ def test_monomial_kernel_matches_broadcast_reference(n, degree, m, seed):
 @pytest.mark.parametrize("n,degree", [(1, 5), (3, 3), (5, 5)])
 def test_monomial_kernel_across_block_boundary(n, degree):
     _check_kernel_equivalence(n, degree, 2 * 4096 + 7, 4103)
+
+
+@pytest.mark.parametrize(
+    "n,degree,m",
+    [(1, 0, 5), (1, 1, 5), (1, 6, 300), (3, 0, 17), (2, 4, 0), (1, 0, 0), (5, 5, 0), (4, 3, 2)],
+)
+def test_monomial_table_equals_broadcast_reference(n, degree, m):
+    # The table itself, and vandermonde's copy of it, bit for bit; includes
+    # one variable, the constant-only basis and an empty stack of points.
+    basis = enumerate_monomials(n, degree)
+    pts = np.random.default_rng(100 * n + degree).random((m, n))
+    table = monomials(pts, basis)
+    assert table.shape == (m, len(basis))
+    assert _same_bits(table, broadcast_monomials(pts, basis.exponent_array))
+    if m:
+        assert _same_bits(vandermonde(PointCloud(pts), basis), table)
+    if degree == 0:
+        assert (table == 1.0).all()
+    f = Poly(basis, np.arange(1.0, len(basis) + 1))
+    assert f.evaluate(pts).shape == (m,)
+    assert f.gradient(pts).shape == (m, n)
+
+
+# Points at which numpy's scalar-exponent fast path (x ** 2.0, i.e. x * x)
+# and repeated multiplication (x * x * x) differ from pow() with an array
+# exponent on AVX-512 hardware, where numpy's vectorized pow is not
+# correctly rounded. The table must carry pow()'s bits, so a kernel that
+# squares or multiplies instead fails here.
+POW_EDGE_POINTS = np.array([
+    float.fromhex(h)
+    for h in (
+        "0x1.a4c1c5ea473c0p-7",
+        "0x1.bfceb973ded86p-1",
+        "0x1.fab4a18ef9d34p-2",
+        "0x1.59ed625c1166cp-1",
+        "0x1.7822efe106f58p-3",
+        "0x1.2f75a523aca66p-2",
+    )
+])
+
+
+def test_monomial_powers_use_array_exponent_pow():
+    x = POW_EDGE_POINTS
+    basis = enumerate_monomials(2, 3)
+    pts = np.column_stack([x, x[::-1]])
+    table = monomials(pts, basis)
+    for alpha in ((2, 0), (3, 0), (0, 2), (0, 3)):
+        j = 0 if alpha[0] else 1
+        expected = np.power(pts[:, j], np.full(len(x), float(sum(alpha))))
+        assert table[:, basis.index(alpha)].tobytes() == expected.tobytes()
+    assert table[:, basis.index((2, 1))].tobytes() == (
+        np.power(x, np.full(len(x), 2.0)) * x[::-1]
+    ).tobytes()
+
+
+def test_pow_edge_points_separate_pow_from_multiplication():
+    # Where this skips, the test above cannot tell the kernels apart.
+    x = POW_EDGE_POINTS
+    square = np.power(x, np.full(len(x), 2.0))
+    cube = np.power(x, np.full(len(x), 3.0))
+    if (x ** 2.0 == square).all() and (x * x * x == cube).all():
+        pytest.skip("this platform's pow() agrees with multiplication on these points")
+    assert (x ** 2.0 != square).all()
+    assert (x * x * x != cube).all()
