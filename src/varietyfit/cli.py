@@ -33,7 +33,7 @@ from .fitting import RationalizationError, fit_map, rationalize
 from .modelio import ModelFile, export_singular_script, load_model, save_model
 from .sampling import ProposalBudgetError, SamplerConfig, direct_sample, rejection_sample
 from .singular import singularity_filter
-from .transport import EXACT_SIZE_CAP, wasserstein_exact, wasserstein_sinkhorn
+from .transport import wasserstein_exact, wasserstein_sinkhorn
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -162,7 +162,7 @@ def cmd_singular(args) -> dict:
 
 def _solver(a: PointCloud, b: PointCloud, method: str) -> str:
     if method == "auto":
-        return "exact" if a.m == b.m and a.m <= EXACT_SIZE_CAP else "sinkhorn"
+        return "exact" if a.m == b.m else "sinkhorn"
     return method
 
 

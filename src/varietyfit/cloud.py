@@ -86,6 +86,8 @@ def normalize_to_unit_cube(cloud: PointCloud) -> PointCloud:
     """Min-max map each axis into [0, 1]; degenerate axes go to 0.5.
 
     The affine record is attached to the result so the map can be inverted.
+    Rounding can carry an axis maximum one ulp past 1; the result is clipped
+    to [0, 1], so it lies in the cube exactly.
     """
     if cloud.m == 0:
         raise ValueError("cannot normalize an empty cloud")
@@ -96,7 +98,8 @@ def normalize_to_unit_cube(cloud: PointCloud) -> PointCloud:
     scale = 1.0 / np.where(degenerate, 1.0, spread)
     offset = np.where(degenerate, 0.5 - lo, -lo * scale)
     record = NormalizationRecord(scale=scale, offset=offset)
-    return PointCloud(record.apply(cloud.points), normalization=record)
+    points = np.clip(record.apply(cloud.points), 0.0, 1.0)
+    return PointCloud(points, normalization=record)
 
 
 def denormalize(cloud: PointCloud) -> PointCloud:
@@ -117,12 +120,8 @@ def add_gaussian_noise(cloud: PointCloud, sigma: float, seed: int) -> PointCloud
     return PointCloud(np.clip(noisy, 0.0, 1.0), normalization=cloud.normalization)
 
 
-def save_cloud(
-    cloud: PointCloud, path, format: str = "csv", header: bool = False
-) -> None:
+def save_cloud(cloud: PointCloud, path, header: bool = False) -> None:
     """Write one point per row as comma-separated full-precision decimals."""
-    if format != "csv":
-        raise ValueError(f"unsupported cloud format {format!r}")
     lines = []
     if header:
         lines.append(",".join(f"x{j + 1}" for j in range(cloud.dim)))
@@ -132,14 +131,12 @@ def save_cloud(
         fh.write("\n".join(lines) + "\n")
 
 
-def load_cloud(path, format: str = "csv", header: bool = False) -> PointCloud:
+def load_cloud(path, header: bool = False) -> PointCloud:
     """Read a cloud written by save_cloud; set header=True to skip a header row.
 
     Rows of unequal width, unparsable cells and NaN or infinite values raise
     CloudFormatError naming the line.
     """
-    if format != "csv":
-        raise ValueError(f"unsupported cloud format {format!r}")
     rows: list[list[float]] = []
     width = None
     with open(path, "r", encoding="utf-8") as fh:

@@ -5,11 +5,13 @@ reported as the root of the coupling-weighted mean squared distance. Two
 solvers: the exact assignment solver for equal-size clouds, and entropically
 regularized Sinkhorn scaling (stabilized, kernel-domain) for any sizes, whose
 cost is reported sharp (without the entropy term). The library does not pick
-between them; the CLI's `compare` and `pipeline` do (cli._compare: exact for
-equal clouds of at most EXACT_SIZE_CAP points, Sinkhorn otherwise).
+between them; the CLI's `compare` and `pipeline` do (cli._solver: exact for
+equal-size clouds, Sinkhorn otherwise).
 
-Both solvers build the dense (m, m') squared-distance matrix, so both refuse
-m * m' > EXACT_SIZE_CAP**2 (128 MiB of float64) before allocating it.
+Both solvers build the dense (m, m') squared-distance matrix through
+_cost_matrix, the one place that refuses m * m' > EXACT_SIZE_CAP**2
+(128 MiB of float64) before allocating it. So equal clouds of more than
+EXACT_SIZE_CAP points are refused by either solver.
 """
 
 from __future__ import annotations
@@ -37,107 +39,66 @@ DEFAULT_REG_FRACTION = 0.002
 ABSORB_BOUND = 1e3
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class TransportPlan:
     """A coupling between two uniform clouds and its transport cost.
 
     cost      root of sum_ij coupling[i,j] * |a_i - b_j|^2
-    coupling  (m, m') read-only nonnegative matrix with row sums 1/m, column
-              sums 1/m'
+    coupling  (m, m') nonnegative matrix with row sums 1/m, column sums 1/m'
     method    "exact-assignment" or "sinkhorn"
-    matching  (rows, cols) of an exact plan, which couples a_rows[k] with
-              b_cols[k] at mass 1/m; None for a plan given its coupling
 
-    A plan is built from either a coupling or a matching (then coupling is
-    None). A matched plan stores only the two index arrays and fills its
-    dense coupling in the first time it is read. Build plans with the
-    constructor: dataclasses.replace does not apply to this class.
+    The plan holds a read-only view of the coupling it is given: no copy is
+    made, and the caller's array keeps its own flags.
     """
 
     cost: float
+    coupling: np.ndarray = field(repr=False)
     method: str
-    iterations: int
-    converged: bool
-    marginal_error: float
-    matching: tuple[np.ndarray, np.ndarray] | None = field(repr=False)
-    _coupling: np.ndarray | None = field(repr=False)
+    iterations: int = 0
+    converged: bool = True
+    marginal_error: float = 0.0
 
-    def __init__(
-        self,
-        cost: float,
-        coupling: np.ndarray | None,
-        method: str,
-        iterations: int = 0,
-        converged: bool = True,
-        marginal_error: float = 0.0,
-        matching: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> None:
-        if (coupling is None) == (matching is None):
-            raise ValueError("a plan needs exactly one of coupling and matching")
-        if coupling is not None:
-            coupling = _read_only(coupling)
-        else:
-            matching = tuple(_read_only(idx, dtype=np.intp) for idx in matching)
-        for name, value in (
-            ("cost", cost),
-            ("method", method),
-            ("iterations", iterations),
-            ("converged", converged),
-            ("marginal_error", marginal_error),
-            ("matching", matching),
-            ("_coupling", coupling),
-        ):
-            object.__setattr__(self, name, value)
-
-    @property
-    def coupling(self) -> np.ndarray:
-        if self._coupling is None:
-            rows, cols = self.matching
-            c = np.zeros((len(rows), len(cols)))
-            c[rows, cols] = 1.0 / len(rows)
-            c.setflags(write=False)
-            object.__setattr__(self, "_coupling", c)
-        return self._coupling
+    def __post_init__(self) -> None:
+        view = np.asarray(self.coupling).view()
+        if view.ndim != 2:
+            raise ValueError(f"a plan needs an (m, m') coupling, got shape {view.shape}")
+        view.setflags(write=False)
+        object.__setattr__(self, "coupling", view)
 
 
-def _read_only(values, dtype=float) -> np.ndarray:
-    a = np.array(values, dtype=dtype)
-    a.setflags(write=False)
-    return a
-
-
-def _check_dims(a: PointCloud, b: PointCloud) -> None:
+def _cost_matrix(a: PointCloud, b: PointCloud) -> np.ndarray:
+    """Dense (m, m') squared-distance matrix, refused over the budget."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if a.m == 0 or b.m == 0:
         raise ValueError("cannot transport an empty cloud")
+    if a.m * b.m > EXACT_SIZE_CAP**2:
+        raise ValueError(
+            f"a {a.m} x {b.m} cost matrix needs {8 * a.m * b.m} bytes, over the "
+            f"{8 * EXACT_SIZE_CAP**2}-byte budget for one dense matrix"
+        )
+    return cdist(a.points, b.points, metric="sqeuclidean")
 
 
-def wasserstein_exact(
-    a: PointCloud, b: PointCloud, size_cap: int = EXACT_SIZE_CAP
-) -> TransportPlan:
+def wasserstein_exact(a: PointCloud, b: PointCloud) -> TransportPlan:
     """Optimal assignment between two equal-size clouds.
 
     Solves the squared-Euclidean assignment problem in polynomial time;
-    the cost is (mean squared matched distance)^(1/2). Clouds larger than
-    size_cap are refused: use wasserstein_sinkhorn for those. The plan
-    keeps only the matching; the cost matrix is freed on return.
+    the cost is (mean squared matched distance)^(1/2). The cost matrix is
+    freed before the dense coupling is built, so the two never coexist.
     """
-    _check_dims(a, b)
     if a.m != b.m:
         raise ValueError(
             f"exact transport needs equal cloud sizes, got {a.m} and {b.m} "
             "(use wasserstein_sinkhorn)"
         )
-    if a.m > size_cap:
-        raise ValueError(
-            f"cloud size {a.m} exceeds the exact-solver cap {size_cap} "
-            "(use wasserstein_sinkhorn)"
-        )
-    C = cdist(a.points, b.points, metric="sqeuclidean")
+    C = _cost_matrix(a, b)
     rows, cols = linear_sum_assignment(C)
     cost = float(np.sqrt(np.mean(C[rows, cols])))
-    return TransportPlan(cost, None, "exact-assignment", matching=(rows, cols))
+    del C
+    coupling = np.zeros((a.m, a.m))
+    coupling[rows, cols] = 1.0 / a.m
+    return TransportPlan(cost, coupling, "exact-assignment")
 
 
 def _kernel(f: np.ndarray, g: np.ndarray, C: np.ndarray, eps: float) -> np.ndarray:
@@ -181,18 +142,12 @@ def wasserstein_sinkhorn(
     before the target reg, the plan is evaluated at the last regularization
     reached, so it stays a usable diagnostic.
     """
-    _check_dims(a, b)
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     if not max_iters >= 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    C = _cost_matrix(a, b)
     m, mp = a.m, b.m
-    if m * mp > EXACT_SIZE_CAP**2:
-        raise ValueError(
-            f"a {m} x {mp} cost matrix needs {8 * m * mp} bytes, over the "
-            f"{8 * EXACT_SIZE_CAP**2}-byte budget for one dense matrix"
-        )
-    C = cdist(a.points, b.points, metric="sqeuclidean")
     if reg is None:
         reg = DEFAULT_REG_FRACTION * float(np.median(C))
     if not (np.isfinite(reg) and reg > 0):

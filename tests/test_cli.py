@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from varietyfit import cli
+from varietyfit import cli, transport
 from varietyfit.cli import main
 from varietyfit.cloud import load_cloud, save_cloud
 from varietyfit.datasets import gen_sphere_plane
@@ -161,6 +161,24 @@ def test_compare_rejects_bad_reg(tmp_path, reg):
     metrics = tmp_path / "m.json"
     assert run("compare", "--input-a", a, "--input-b", b, "--reg", reg, "-o", metrics) == 2
     assert not metrics.exists()
+
+
+@pytest.mark.parametrize("method", ["auto", "exact", "sinkhorn"])
+def test_compare_equal_clouds_over_budget_exit_2(tmp_path, monkeypatch, capsys, method):
+    def no_cost_matrix(*args, **kwargs):
+        raise AssertionError("cost matrix built")
+
+    monkeypatch.setattr(transport, "cdist", no_cost_matrix)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    rng = np.random.default_rng(20)
+    for path in (a, b):
+        np.savetxt(path, rng.random((4097, 1)), fmt="%.17g")
+    metrics = tmp_path / "m.json"
+    assert run("compare", "--input-a", a, "--input-b", b, "--method", method,
+               "-o", metrics) == 2
+    assert "4097 x 4097 cost matrix needs 134283272 bytes" in capsys.readouterr().err
+    assert not metrics.exists()
+    assert not (tmp_path / "m.json.manifest.json").exists()
 
 
 def test_export_algebra_and_rationalization_failure(tmp_path):

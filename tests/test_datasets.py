@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -186,8 +187,6 @@ def test_csv_empty_rejected(tmp_path):
     path.write_text("")
     with pytest.raises(CloudFormatError):
         load_cloud(path)
-    with pytest.raises(ValueError):
-        save_cloud(PointCloud(np.ones((1, 1))), path, format="parquet")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -216,6 +215,16 @@ def test_normalize_affine_record():
     assert out.normalization.scale[0] == pytest.approx(0.25)
     assert out.normalization.offset[0] == pytest.approx(0.25)
     assert out.points.min() == 0.0 and out.points.max() == 1.0
+
+
+def test_normalize_lands_in_cube_and_fits_without_warning():
+    # Without clipping, scale * max + offset rounds to 1.0000000000000002
+    # on this cloud, and fit_map warns about the normalized cloud.
+    out = normalize_to_unit_cube(gen_sphere_plane(1600, 0.5, seed=7))
+    assert out.points.min() == 0.0 and out.points.max() == 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit_map(out, 3)
 
 
 def test_normalize_round_trip_and_degenerate_axis():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -106,10 +107,6 @@ def test_exact_validation_errors():
     b = PointCloud(rng.random((5, 2)))
     with pytest.raises(ValueError, match="sinkhorn"):
         wasserstein_exact(a, b)
-    big_a = PointCloud(rng.random((10, 2)))
-    big_b = PointCloud(rng.random((10, 2)))
-    with pytest.raises(ValueError, match="sinkhorn"):
-        wasserstein_exact(big_a, big_b, size_cap=8)
     with pytest.raises(ValueError):
         wasserstein_exact(a, PointCloud(rng.random((4, 3))))
     with pytest.raises(ValueError):
@@ -284,6 +281,30 @@ def test_plan_is_frozen_record():
     plan = TransportPlan(cost=1.0, coupling=np.eye(2) / 2, method="exact-assignment")
     with pytest.raises(ValueError):
         plan.coupling[0, 0] = 5.0
+    # The plan views the caller's array: no copy, and the caller's flags stay.
+    coupling = np.eye(3) / 3
+    plan = TransportPlan(0.5, coupling, "sinkhorn", iterations=7)
+    assert np.shares_memory(plan.coupling, coupling)
+    coupling[0, 0] = 0.25
+    assert plan.coupling[0, 0] == 0.25
+    again = dataclasses.replace(plan, cost=1.0)
+    assert (again.cost, again.method, again.iterations) == (1.0, "sinkhorn", 7)
+    assert np.shares_memory(again.coupling, coupling)
+    assert not again.coupling.flags.writeable
+
+
+def test_plan_needs_exactly_one_of_coupling_and_matching():
+    # The coupling is the plan's only form: it is required, and must be 2-D.
+    with pytest.raises(ValueError):
+        TransportPlan(0.0, None, "exact-assignment")
+    with pytest.raises(ValueError):
+        TransportPlan(0.0, np.ones(3) / 3, "exact-assignment")
+    # A matching is no longer a form a plan can take.
+    with pytest.raises(TypeError):
+        TransportPlan(0.0, np.eye(1), "exact-assignment", matching=([0], [0]))
+    # A plan must name its solver.
+    with pytest.raises(TypeError):
+        TransportPlan(0.0, np.eye(1))
 
 
 def test_exact_coupling_equals_dense_construction():
@@ -295,23 +316,9 @@ def test_exact_coupling_equals_dense_construction():
     rows, cols = linear_sum_assignment(C)
     dense = np.zeros_like(C)
     dense[rows, cols] = 1.0 / a.m
-    assert np.array_equal(plan.matching[0], rows) and np.array_equal(plan.matching[1], cols)
-    P = plan.coupling
-    assert np.array_equal(P, dense)
-    assert plan.coupling is P
-    for array in (P, *plan.matching):
-        with pytest.raises(ValueError):
-            array[0] = 0
-
-
-def test_plan_needs_exactly_one_of_coupling_and_matching():
+    assert np.array_equal(plan.coupling, dense)
     with pytest.raises(ValueError):
-        TransportPlan(0.0, None, "exact-assignment")
-    with pytest.raises(ValueError):
-        TransportPlan(0.0, np.eye(1), "exact-assignment", matching=([0], [0]))
-    # A plan must name its solver.
-    with pytest.raises(TypeError):
-        TransportPlan(0.0, np.eye(1))
+        plan.coupling[0] = 0
 
 
 def test_sinkhorn_default_reg_is_median_fraction():
@@ -329,15 +336,20 @@ def test_sinkhorn_default_reg_is_median_fraction():
         wasserstein_sinkhorn(same, same)
 
 
-def test_sinkhorn_refuses_cost_matrix_over_budget(monkeypatch):
+@pytest.mark.parametrize(
+    "solver,m,mp,nbytes",
+    [(wasserstein_exact, 4097, 4097, 134283272), (wasserstein_sinkhorn, 5000, 4000, 160000000)],
+    ids=["exact", "sinkhorn"],
+)
+def test_solvers_refuse_cost_matrix_over_budget(monkeypatch, solver, m, mp, nbytes):
     def no_cost_matrix(*args, **kwargs):
         raise AssertionError("cost matrix built")
 
     monkeypatch.setattr(transport, "cdist", no_cost_matrix)
-    big = PointCloud(np.zeros((5000, 1)))
-    with pytest.raises(ValueError, match="5000 x 4000 cost matrix needs 160000000 bytes"):
-        wasserstein_sinkhorn(big, PointCloud(np.zeros((4000, 1))), reg=0.1)
+    a, b = PointCloud(np.zeros((m, 1))), PointCloud(np.zeros((mp, 1)))
+    with pytest.raises(ValueError, match=f"{m} x {mp} cost matrix needs {nbytes} bytes"):
+        solver(a, b)
     # A matrix of exactly the budget passes the check and reaches cdist.
     at_cap = PointCloud(np.zeros((EXACT_SIZE_CAP, 1)))
     with pytest.raises(AssertionError, match="cost matrix built"):
-        wasserstein_sinkhorn(at_cap, at_cap, reg=0.1)
+        solver(at_cap, at_cap)
