@@ -117,6 +117,16 @@ def cmd_fit(args) -> dict:
     }
 
 
+def _band_quantiles(values: np.ndarray, gradient_norms: np.ndarray) -> dict:
+    # 50/90/99% quantiles of |f| / ||grad f|| over accepted points: the
+    # first-order distance to V(f), i.e. how wide the eta band is in space.
+    # A zero gradient counts as inf.
+    ratio = np.full(len(values), np.inf)
+    np.divide(np.abs(values), gradient_norms, out=ratio, where=gradient_norms > 0)
+    q = np.quantile(ratio, [0.5, 0.9, 0.99], method="inverted_cdf")
+    return {p: float(v) for p, v in zip([50, 90, 99], q)}
+
+
 def cmd_sample(args) -> dict:
     model = load_model(args.model)
     f = model.polynomial()
@@ -133,7 +143,8 @@ def cmd_sample(args) -> dict:
         f"wrote {cloud.m} points to {args.output} "
         f"(acceptance rate {stats['acceptance_rate']:.3g})"
     )
-    return stats
+    norms = np.linalg.norm(f.gradient(cloud.points), axis=1)
+    return stats | {"band_distance_quantiles": _band_quantiles(f.evaluate(cloud.points), norms)}
 
 
 def cmd_singular(args) -> dict:
@@ -261,6 +272,9 @@ def cmd_pipeline(args) -> dict:
                 "wasserstein": None,
                 "singular_count": report.accepted_count,
                 "acceptance_rate": stats["acceptance_rate"],
+                "band_distance_quantiles": _band_quantiles(
+                    f.evaluate(resampled.points), report.gradient_norms
+                ),
             }
         )
 

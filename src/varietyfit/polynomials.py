@@ -29,9 +29,9 @@ __all__ = [
     "sum_of_squares",
 ]
 
-# Rows processed per block when evaluating on large clouds, to bound the
-# size of the (m, N) monomial table.
-_EVAL_CHUNK = 4096
+# Rows processed per block by evaluate and gradient, to bound the size of
+# the per-variable power vectors. Results do not depend on it.
+_EVAL_CHUNK = 8192
 
 UNIT_NORM_TOL = 1e-12
 
@@ -77,6 +77,13 @@ class MonomialBasis:
         arr = np.array(self.exponents, dtype=np.int64)
         arr.setflags(write=False)
         return arr
+
+    @cached_property
+    def _factors(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per monomial, its nonzero factors (j, alpha_j) in variable order."""
+        return tuple(
+            tuple((j, a) for j, a in enumerate(alpha) if a) for alpha in self.exponents
+        )
 
     @cached_property
     def _index(self) -> dict[tuple[int, ...], int]:
@@ -160,13 +167,12 @@ class Poly:
         """Evaluate at one point (n,) or a stack of points (m, n).
 
         Returns a float for a single point, an (m,) array otherwise.
-        Computed as sum_k c_k * x^alpha_k against the monomial table.
+        Computed as the sum of c_k * x^alpha_k over the nonzero
+        coefficients, added left to right in basis order, so each row's
+        value depends on that row alone.
         """
         pts, single = self._as_points(points)
-        out = np.empty(pts.shape[0])
-        for start in range(0, pts.shape[0], _EVAL_CHUNK):
-            block = pts[start : start + _EVAL_CHUNK]
-            out[start : start + _EVAL_CHUNK] = monomials(block, self.basis) @ self.coeffs
+        out = _basis_sums(pts, self._terms, 1)[0]
         return float(out[0]) if single else out
 
     __call__ = evaluate
@@ -186,18 +192,89 @@ class Poly:
             out.append(c)
         return tuple(out)
 
+    @cached_property
+    def _terms(self) -> tuple:
+        return _nonzero_terms(self.basis, [self.coeffs])
+
+    @cached_property
+    def _gradient_terms(self) -> tuple:
+        return _nonzero_terms(self.basis, self._partials)
+
     def gradient(self, points):
         """Partial derivatives at one point (-> (n,)) or a stack (-> (m, n)).
 
-        One monomial table per block, one product per partial derivative.
+        Column j is the basis-order sum of the j-th partial's nonzero
+        coefficients times the monomials, bit for bit what
+        ``gradient_polys(f)[j].evaluate`` returns; each monomial is
+        computed once for all n columns.
         """
         pts, single = self._as_points(points)
-        out = np.empty(pts.shape)
-        for start in range(0, pts.shape[0], _EVAL_CHUNK):
-            table = monomials(pts[start : start + _EVAL_CHUNK], self.basis)
-            for j, c in enumerate(self._partials):
-                out[start : start + _EVAL_CHUNK, j] = table @ c
+        out = _basis_sums(pts, self._gradient_terms, self.n)
+        out = np.ascontiguousarray(out.T)
         return out[0] if single else out
+
+
+def _powers(points, keys) -> dict[tuple[int, int], np.ndarray]:
+    # x_j^a as a contiguous vector for each factor (j, a) in keys: x_j^1 is
+    # x_j itself, powers of 2 and up come from np.power with an array
+    # exponent.
+    cols = np.ascontiguousarray(np.asarray(points, dtype=float).T)
+    m = cols.shape[1]
+    # The exponent must be an array, not a scalar: a scalar 2 takes numpy's
+    # squaring fast path, which differs from pow() in the last bit at about
+    # 5% of uniform points in [0, 1), and repeated multiplication x*x*x
+    # differs from pow() at about 26% (numpy 2.4 on AVX-512, where its
+    # vectorized pow is not correctly rounded). Either would change the
+    # monomials' bits, and with them every seeded fit, sample and filter.
+    return {
+        (j, a): cols[j] if a == 1 else np.power(cols[j], np.full(m, float(a)))
+        for j, a in keys
+    }
+
+
+def _monomial(powers, factors: tuple[tuple[int, int], ...], out: np.ndarray):
+    # x^alpha as the product of its nonzero factors in variable order: 1.0
+    # for the constant monomial, the power vector itself for a single
+    # factor, otherwise `out`, which receives the product.
+    if not factors:
+        return 1.0
+    if len(factors) == 1:
+        return powers[factors[0]]
+    np.multiply(powers[factors[0]], powers[factors[1]], out)
+    for key in factors[2:]:
+        np.multiply(out, powers[key], out)
+    return out
+
+
+def _nonzero_terms(basis: MonomialBasis, vectors) -> tuple:
+    # (factors of alpha_k, ((j, c_jk), ...)) for each monomial with a
+    # nonzero coefficient in any of the vectors, in basis order.
+    terms = []
+    for k, factors in enumerate(basis._factors):
+        coeffs = tuple((j, float(c[k])) for j, c in enumerate(vectors) if c[k] != 0.0)
+        if coeffs:
+            terms.append((factors, coeffs))
+    return tuple(terms)
+
+
+def _basis_sums(pts: np.ndarray, terms, width: int) -> np.ndarray:
+    # out[j, i] = sum of c_jk * x_i^alpha_k over `terms`, accumulated left
+    # to right in basis order from +0.0. Every step is an elementwise,
+    # correctly rounded numpy product or sum, so a row's bits depend on
+    # neither its block, its offset in the block, nor _EVAL_CHUNK.
+    out = np.zeros((width, pts.shape[0]))
+    keys = {key for factors, _ in terms for key in factors}
+    for start in range(0, pts.shape[0], _EVAL_CHUNK):
+        stop = start + _EVAL_CHUNK
+        powers = _powers(pts[start:stop], keys)
+        rows = [row[start:stop] for row in out]
+        mono = np.empty(rows[0].shape)
+        term = np.empty_like(mono)
+        for factors, coeffs in terms:
+            x = _monomial(powers, factors, mono)
+            for j, c in coeffs:
+                np.add(rows[j], np.multiply(x, c, term), rows[j])
+    return out
 
 
 def monomials(points: np.ndarray, basis: MonomialBasis) -> np.ndarray:
@@ -208,32 +285,16 @@ def monomials(points: np.ndarray, basis: MonomialBasis) -> np.ndarray:
     come from ``np.power`` with an array exponent. Row k of an (N, m)
     buffer is then the product of the nonzero factors of alpha_k in
     variable order, and the transposed copy is returned C-contiguous.
-    This is the one place points are raised to powers: fitting,
-    evaluation and gradients share it.
+    Fitting uses this table; ``Poly.evaluate`` and ``Poly.gradient``
+    stream the same monomials, computed the same way, without building it.
     """
-    cols = np.ascontiguousarray(np.asarray(points, dtype=float).T)
-    m = cols.shape[1]
-    # The exponent must be an array, not a scalar: a scalar 2 takes numpy's
-    # squaring fast path, which differs from pow() in the last bit at about
-    # 5% of uniform points in [0, 1), and repeated multiplication x*x*x
-    # differs from pow() at about 26% (numpy 2.4 on AVX-512, where its
-    # vectorized pow is not correctly rounded). Either would change the
-    # table's bits, and with them every seeded fit, sample and filter.
-    powers = [
-        {1: x} | {a: np.power(x, np.full(m, float(a))) for a in range(2, top + 1)}
-        for x, top in zip(cols, basis.exponent_array.max(axis=0))
-    ]
-    table = np.empty((len(basis), m))
-    for row, alpha in zip(table, basis.exponents):
-        factors = [powers[j][a] for j, a in enumerate(alpha) if a]
-        if not factors:
-            row.fill(1.0)
-        elif len(factors) == 1:
-            row[:] = factors[0]
-        else:
-            np.multiply(factors[0], factors[1], out=row)
-            for factor in factors[2:]:
-                row *= factor
+    pts = np.asarray(points, dtype=float)
+    powers = _powers(pts, {key for factors in basis._factors for key in factors})
+    table = np.empty((len(basis), pts.shape[0]))
+    for row, factors in zip(table, basis._factors):
+        x = _monomial(powers, factors, row)
+        if x is not row:
+            row[:] = x
     return np.ascontiguousarray(table.T)
 
 

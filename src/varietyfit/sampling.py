@@ -10,7 +10,9 @@ Both samplers propose uniform points on [0,1]^n and filter them:
 
 Proposals are drawn in blocks from one counter-based stream keyed by the
 seed, one contiguous (point, alpha) record per proposal, and scanned in
-order, so the accepted cloud depends only on (f, config).
+order. ``Poly.evaluate`` computes each proposal's value from that proposal
+alone, so the accepted cloud depends only on (f, config), not on the
+block size.
 Small eta makes acceptance arbitrarily rare; the proposal budget turns
 that into a reported error instead of a hang.
 """

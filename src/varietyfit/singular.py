@@ -51,8 +51,7 @@ def singularity_filter(
         raise ValueError(
             f"cloud dimension {cloud.dim} does not match polynomial n={f.basis.n}"
         )
-    grads = f.gradient(cloud.points) if cloud.m else np.empty((0, cloud.dim))
-    norms = np.linalg.norm(grads, axis=1)
+    norms = np.linalg.norm(f.gradient(cloud.points), axis=1)
     accepted = PointCloud(cloud.points[norms < epsilon])
     return SingularityReport(
         epsilon=epsilon, accepted=accepted, gradient_norms=norms

@@ -51,17 +51,30 @@ def broadcast_monomials(points: np.ndarray, exps: np.ndarray) -> np.ndarray:
     return np.prod(points[:, None, :] ** exps[None, :, :], axis=2)
 
 
-def broadcast_evaluate(f: Poly, points: np.ndarray) -> np.ndarray:
-    """Evaluate f at (m, n) points against the broadcast monomial table.
+def basis_order_sum(table: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_k c_k * table[:, k] over the nonzero c_k, added left to right.
 
-    Rows go in blocks of 4096 so each block's product has the same shape
-    as Poly.evaluate's.
+    Starts from +0.0 and does one elementwise product and one elementwise
+    sum per column, in column order; no matrix product is involved.
+    """
+    out = np.zeros(table.shape[0])
+    for k in np.flatnonzero(coeffs):
+        out += coeffs[k] * table[:, k]
+    return out
+
+
+def broadcast_evaluate(f: Poly, points: np.ndarray) -> np.ndarray:
+    """Evaluate f at (m, n) points: the basis-order sum over the columns of
+    the broadcast monomial table.
+
+    The table is built 4096 rows at a time only to bound its memory; each
+    row's sum involves that row alone.
     """
     exps = f.basis.exponent_array
     out = np.empty(points.shape[0])
     for start in range(0, points.shape[0], 4096):
         block = points[start : start + 4096]
-        out[start : start + 4096] = broadcast_monomials(block, exps) @ f.coeffs
+        out[start : start + 4096] = basis_order_sum(broadcast_monomials(block, exps), f.coeffs)
     return out
 
 

@@ -100,6 +100,13 @@ def test_sample_and_postcondition(tmp_path):
     assert np.abs(f.evaluate(resampled.points)).max() < 0.001
     manifest = json.loads((tmp_path / "resampled.csv.manifest.json").read_text())
     assert 0 < manifest["results"]["acceptance_rate"] <= 1
+    # the band's geometric width: quantiles of |f| / ||grad f|| over the sample
+    ratio = np.abs(f.evaluate(resampled.points)) / np.linalg.norm(
+        f.gradient(resampled.points), axis=1
+    )
+    expected = np.quantile(ratio, [0.5, 0.9, 0.99], method="inverted_cdf")
+    band = manifest["results"]["band_distance_quantiles"]
+    assert [band[k] for k in ("50", "90", "99")] == expected.tolist()
 
 
 def test_sample_budget_exhaustion_exit_code(tmp_path):
@@ -220,6 +227,18 @@ def test_pipeline_writes_distance_table(tmp_path):
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["command"] == "pipeline"
     assert len(manifest["results"]["table"]) == 2
+    # band quantiles go to the manifest only, not to distances.csv
+    assert lines[0] == "D,lambda,kernel_dim,wasserstein,singular_count,acceptance_rate"
+    for row in manifest["results"]["table"]:
+        band = [row["band_distance_quantiles"][k] for k in ("50", "90", "99")]
+        assert 0 < band[0] <= band[1] <= band[2] < np.inf
+
+
+def test_band_quantiles_count_zero_gradients_as_inf():
+    values = np.array([0.1, 0.0, 0.3, 0.2])
+    norms = np.array([1.0, 0.0, 0.0, 2.0])
+    band = cli._band_quantiles(values, norms)
+    assert band == {50: 0.1, 90: np.inf, 99: np.inf}
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])

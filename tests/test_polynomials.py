@@ -18,7 +18,12 @@ from varietyfit.polynomials import (
 )
 from varietyfit.datasets import sphere_plane_polynomial
 
-from conftest import broadcast_evaluate, broadcast_monomials, singular_circle_points
+from conftest import (
+    basis_order_sum,
+    broadcast_evaluate,
+    broadcast_monomials,
+    singular_circle_points,
+)
 
 
 def test_basis_n2_d1_order():
@@ -215,7 +220,7 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.flags.c_contiguous and a.tobytes() == b.tobytes()
 
 
-def _check_kernel_equivalence(n, degree, m, seed):
+def _check_kernel_equivalence(n, degree, m, seed, cuts, rows):
     rng = np.random.default_rng(seed)
     basis = enumerate_monomials(n, degree)
     f = Poly(basis, rng.standard_normal(len(basis)))
@@ -223,20 +228,21 @@ def _check_kernel_equivalence(n, degree, m, seed):
     table = monomials(pts, basis)
     assert _same_bits(table, broadcast_monomials(pts, basis.exponent_array))
     values = f.evaluate(pts)
-    assert np.array_equal(values, broadcast_evaluate(f, pts))
-    if m <= 4096:
-        U = vandermonde(PointCloud(pts), basis)
-        assert _same_bits(U, table)
-        assert np.array_equal(U @ f.coeffs, values)
+    assert _same_bits(values, broadcast_evaluate(f, pts))
+    U = vandermonde(PointCloud(pts), basis)
+    assert _same_bits(U, table)
+    assert _same_bits(values, basis_order_sum(U, f.coeffs))
     grads = f.gradient(pts)
     for j, g in enumerate(gradient_polys(f)):
-        assert np.array_equal(grads[:, j], g.evaluate(pts))
-    # Rows split at block boundaries give the same bits as the whole. Other
-    # cuts need not: the BLAS matrix-vector kernel may sum a row in a
-    # different order depending on where the row sits in its block.
-    for cut in range(4096, m, 4096):
-        assert np.array_equal(np.concatenate([f.evaluate(pts[:cut]), f.evaluate(pts[cut:])]), values)
-        assert np.array_equal(np.concatenate([f.gradient(pts[:cut]), f.gradient(pts[cut:])]), grads)
+        assert _same_bits(np.ascontiguousarray(grads[:, j]), g.evaluate(pts))
+    # A row's bits depend on that row alone: the rows split at any cut, or
+    # taken one at a time, give the same bits as the whole.
+    for cut in cuts:
+        assert _same_bits(np.concatenate([f.evaluate(pts[:cut]), f.evaluate(pts[cut:])]), values)
+        assert _same_bits(np.concatenate([f.gradient(pts[:cut]), f.gradient(pts[cut:])]), grads)
+    for i in rows:
+        assert _same_bits(f.evaluate(pts[i : i + 1]), values[i : i + 1])
+        assert _same_bits(f.gradient(pts[i]), grads[i])
 
 
 @settings(max_examples=60, deadline=None)
@@ -247,14 +253,24 @@ def _check_kernel_equivalence(n, degree, m, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_monomial_kernel_matches_broadcast_reference(n, degree, m, seed):
-    # evaluate, vandermonde @ c and gradient agree bit for bit with the
-    # independent broadcast kernel and the derivative polynomials
-    _check_kernel_equivalence(n, degree, m, seed)
+    # evaluate, the basis-order sum over vandermonde's columns and gradient
+    # agree bit for bit with the independent broadcast kernel and the
+    # derivative polynomials, and with themselves split at every cut offset
+    # up to 32 (every residue mod 4, 8, 16 and 32, where a blocked
+    # matrix-vector product would sum in another order) and row by row
+    k = min(m, 33)
+    _check_kernel_equivalence(n, degree, m, seed, range(1, k), range(k))
 
 
 @pytest.mark.parametrize("n,degree", [(1, 5), (3, 3), (5, 5)])
 def test_monomial_kernel_across_block_boundary(n, degree):
-    _check_kernel_equivalence(n, degree, 2 * 4096 + 7, 4103)
+    # Cuts at every residue mod 4 (where a blocked matrix-vector product
+    # would change the summation order) and around the internal 8192-row
+    # block boundary; rows around the cuts are also evaluated alone.
+    m = 2 * 4096 + 7
+    cuts = [1, 2, 3, 4094, 4095, 4097, 8190, 8191, 8192, 8193, 8198]
+    rows = sorted({i for cut in cuts for i in (cut - 1, cut)})
+    _check_kernel_equivalence(n, degree, m, 4103, cuts, rows)
 
 
 @pytest.mark.parametrize(

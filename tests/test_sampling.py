@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from varietyfit.datasets import sphere_plane_polynomial
+from varietyfit import polynomials, sampling
+from varietyfit.datasets import gen_sphere_plane, sphere_plane_polynomial
+from varietyfit.fitting import fit_map, map_polynomial
 from varietyfit.polynomials import Poly, enumerate_monomials
+from varietyfit.rng import make_rng
 from varietyfit.sampling import (
     ProposalBudgetError,
     SamplerConfig,
@@ -124,3 +127,44 @@ def test_rejection_accepts_on_variety_points():
     near = (v < 0.1).mean()
     far = (v > 0.8).mean()
     assert near > far
+
+
+@pytest.fixture(scope="module", params=range(8))
+def edge_case(request):
+    # A fitted cubic and an eta at |f| of one early proposal, or one ulp
+    # above it, so that proposal's acceptance hangs on the last bit of its
+    # value. The params walk the four proposals nearest |f| = 1e-3, each
+    # just rejected and just accepted.
+    f = map_polynomial(fit_map(gen_sphere_plane(400, 0.5, seed=31), 3))
+    seed = 37
+    proposals = make_rng(seed).random((1000, 4))[:, :3]
+    vals = np.abs(f.evaluate(proposals))
+    edge = int(np.argsort(np.abs(vals - 1e-3))[request.param // 2])
+    accepted = bool(request.param % 2)
+    eta = float(np.nextafter(vals[edge], np.inf) if accepted else vals[edge])
+    cfg = SamplerConfig(seed=seed, target_m=150, eta=eta)
+    cloud = direct_sample(f, cfg)
+    assert any(np.array_equal(p, proposals[edge]) for p in cloud.points) == accepted
+    return f, cfg
+
+
+@pytest.mark.parametrize("block", [1000, 5003])
+@pytest.mark.parametrize("chunk", [7, 4096])
+def test_samples_do_not_depend_on_block_sizes(edge_case, monkeypatch, block, chunk):
+    # Each proposal's value depends on that proposal alone, so the cloud
+    # and stats are the same for any proposal block and evaluation chunk.
+    f, cfg = edge_case
+    rejection_cfg = SamplerConfig(seed=cfg.seed, target_m=2000)
+    expected = [
+        direct_sample(f, cfg, full_output=True),
+        rejection_sample(f, rejection_cfg, full_output=True),
+    ]
+    monkeypatch.setattr(sampling, "_BLOCK", block)
+    monkeypatch.setattr(polynomials, "_EVAL_CHUNK", chunk)
+    got = [
+        direct_sample(f, cfg, full_output=True),
+        rejection_sample(f, rejection_cfg, full_output=True),
+    ]
+    for (cloud, info), (ref_cloud, ref_info) in zip(got, expected):
+        assert cloud.points.tobytes() == ref_cloud.points.tobytes()
+        assert info == ref_info

@@ -79,6 +79,13 @@ def test_empty_acceptance_for_smooth_model():
     assert report.gradient_norms == pytest.approx(np.full(50, np.sqrt(2.0)))
 
 
+def test_empty_cloud_gives_empty_report():
+    report = singularity_filter(SADDLE, PointCloud(np.empty((0, 2))), 0.1)
+    assert report.accepted_count == 0
+    assert report.accepted.points.shape == (0, 2)
+    assert report.gradient_norms.shape == (0,)
+
+
 def test_validation_errors():
     cloud = PointCloud(np.array([[0.5, 0.5]]))
     with pytest.raises(ValueError):
