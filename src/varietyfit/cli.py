@@ -72,14 +72,16 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _generate(kind, m, seed, sigma, plane_fraction) -> PointCloud:
-    if kind == "sphere-plane":
-        return gen_sphere_plane(m, plane_fraction, seed=seed, noise_sigma=sigma)
-    if kind == "sphere-plane-singular":
-        return gen_sphere_plane_singular(m, seed=seed)
-    if kind == "noisy-line":
-        return gen_noisy_line(m, sigma, seed=seed)
-    raise ValueError(f"unknown generator kind {kind!r}")
+# Generator kind -> cloud from (m, seed, sigma, plane_fraction). The
+# generators are looked up in this module at call time, so a wrapper put on
+# cli.gen_* (a tracer, a test double) still sees the call.
+_GENERATORS = {
+    "sphere-plane": lambda m, seed, sigma, frac: gen_sphere_plane(
+        m, frac, seed=seed, noise_sigma=sigma
+    ),
+    "sphere-plane-singular": lambda m, seed, sigma, frac: gen_sphere_plane_singular(m, seed=seed),
+    "noisy-line": lambda m, seed, sigma, frac: gen_noisy_line(m, sigma, seed=seed),
+}
 
 
 # Each command does its work and returns the manifest's result summary;
@@ -87,7 +89,7 @@ def _generate(kind, m, seed, sigma, plane_fraction) -> PointCloud:
 
 
 def cmd_gen(args) -> dict:
-    cloud = _generate(args.kind, args.m, args.seed, args.sigma, args.plane_fraction)
+    cloud = _GENERATORS[args.kind](args.m, args.seed, args.sigma, args.plane_fraction)
     save_cloud(cloud, args.output)
     print(f"wrote {cloud.m} x {cloud.dim} cloud to {args.output}")
     return {"m": cloud.m, "dim": cloud.dim}
@@ -128,8 +130,7 @@ def _band_quantiles(values: np.ndarray, gradient_norms: np.ndarray) -> dict:
 
 
 def cmd_sample(args) -> dict:
-    model = load_model(args.model)
-    f = model.polynomial()
+    f = load_model(args.model).poly
     cfg = SamplerConfig(
         seed=args.seed,
         target_m=args.m,
@@ -148,7 +149,7 @@ def cmd_sample(args) -> dict:
 
 
 def cmd_singular(args) -> dict:
-    model = load_model(args.model)
+    f = load_model(args.model).poly
     cloud = load_cloud(args.input, header=args.header)
     if args.eta is not None and args.epsilon <= args.eta:
         print(
@@ -156,7 +157,7 @@ def cmd_singular(args) -> dict:
             "guarantee needs epsilon > eta",
             file=sys.stderr,
         )
-    report = singularity_filter(model.polynomial(), cloud, args.epsilon)
+    report = singularity_filter(f, cloud, args.epsilon)
     save_cloud(report.accepted, args.output)
     if args.norms_output:
         np.savetxt(args.norms_output, report.gradient_norms, fmt="%.17g")
@@ -208,11 +209,8 @@ def cmd_compare(args) -> dict:
 
 
 def cmd_export_algebra(args) -> dict:
-    model = load_model(args.model)
-    poly = model.polynomial().normalized()
-    rational = rationalize(
-        poly, max_denominator=args.max_denominator, drop_tol=args.drop_tol
-    )
+    f = load_model(args.model).poly.normalized()
+    rational = rationalize(f, max_denominator=args.max_denominator, drop_tol=args.drop_tol)
     script = export_singular_script(rational)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(script)
@@ -232,12 +230,12 @@ def cmd_pipeline(args) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
     degrees = [int(d) for d in args.degrees.split(",")]
 
-    cloud = _generate(args.kind, args.m, args.seed, args.sigma, args.plane_fraction)
+    cloud = _GENERATORS[args.kind](args.m, args.seed, args.sigma, args.plane_fraction)
     save_cloud(cloud, outdir / "omega.csv")
     if args.reference:
         reference = load_cloud(args.reference, header=args.header)
     elif args.sigma > 0:
-        reference = _generate(args.kind, args.m, args.seed, 0.0, args.plane_fraction)
+        reference = _GENERATORS[args.kind](args.m, args.seed, 0.0, args.plane_fraction)
     else:
         reference = cloud
     save_cloud(reference, outdir / "reference.csv")
@@ -257,7 +255,7 @@ def cmd_pipeline(args) -> dict:
             eta=args.eta,
             max_proposals=args.max_proposals,
         )
-        f = model.polynomial()
+        f = model.poly
         resampled, stats = direct_sample(f, cfg, full_output=True)
         save_cloud(resampled, outdir / f"resampled_D{degree}.csv")
         report = singularity_filter(f, resampled, args.epsilon)
@@ -310,9 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a benchmark point cloud")
-    p.add_argument(
-        "kind", choices=["sphere-plane", "sphere-plane-singular", "noisy-line"]
-    )
+    p.add_argument("kind", choices=list(_GENERATORS))
     p.add_argument("--m", type=int, required=True, help="number of points")
     p.add_argument("--sigma", type=float, default=0.0, help="noise std dev")
     p.add_argument("--plane-fraction", type=float, default=0.5)
@@ -370,8 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "pipeline", help="gen -> fit -> sample -> singular -> compare, per degree"
     )
-    p.add_argument("--kind", default="sphere-plane",
-                   choices=["sphere-plane", "sphere-plane-singular", "noisy-line"])
+    p.add_argument("--kind", default="sphere-plane", choices=list(_GENERATORS))
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--sigma", type=float, default=0.0)
     p.add_argument("--plane-fraction", type=float, default=0.5)

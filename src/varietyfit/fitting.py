@@ -183,9 +183,6 @@ class RationalPoly:
     coeffs: tuple[Fraction, ...]
     scale: float
 
-    def as_poly(self) -> Poly:
-        return Poly(self.basis, np.array([float(c) for c in self.coeffs]))
-
 
 def rationalize(
     f: Poly,

@@ -2,7 +2,9 @@
 
 A model file is a self-describing JSON document holding one polynomial
 (exponent list plus coefficient list against the "grlex" ordering) and the
-fit metadata needed to reproduce or audit it. JSON floats round-trip
+fit metadata needed to reproduce or audit it. In memory it is a ModelFile:
+the Poly itself plus that metadata; the exponent list is written from the
+Poly's basis and checked against it on load. JSON floats round-trip
 bit-exactly through Python, which keeps reloaded coefficients identical.
 """
 
@@ -32,21 +34,13 @@ ORDERING_TAG = "grlex"
 class ModelFile:
     """One fitted polynomial plus provenance metadata."""
 
-    n: int
+    poly: Poly
     degree: int
-    exponents: tuple[tuple[int, ...], ...]
-    coefficients: np.ndarray
     lam: float
     kernel_dim: int
     kind: str = "map"
     seed: int | None = None
     normalization: NormalizationRecord | None = None
-    ordering: str = ORDERING_TAG
-
-    def __post_init__(self) -> None:
-        c = np.array(self.coefficients, dtype=float)
-        c.setflags(write=False)
-        object.__setattr__(self, "coefficients", c)
 
     @classmethod
     def from_fit(
@@ -56,12 +50,9 @@ class ModelFile:
         seed: int | None = None,
         normalization: NormalizationRecord | None = None,
     ) -> "ModelFile":
-        poly = intersected_map(fit) if intersected else map_polynomial(fit)
         return cls(
-            n=poly.basis.n,
+            poly=intersected_map(fit) if intersected else map_polynomial(fit),
             degree=fit.degree,
-            exponents=poly.basis.exponents,
-            coefficients=poly.coeffs,
             lam=fit.lam,
             kernel_dim=fit.kernel_dim,
             kind="intersected" if intersected else "map",
@@ -69,24 +60,15 @@ class ModelFile:
             normalization=normalization,
         )
 
-    def polynomial(self) -> Poly:
-        """Reconstruct the stored polynomial over its basis."""
-        poly_degree = max(sum(alpha) for alpha in self.exponents)
-        basis = enumerate_monomials(self.n, poly_degree)
-        if basis.exponents != self.exponents:
-            raise ValueError(
-                "stored exponent list does not match the grlex basis order"
-            )
-        return Poly(basis, self.coefficients)
-
 
 def save_model(model: ModelFile, path) -> None:
+    basis = model.poly.basis
     doc = {
-        "n": model.n,
+        "n": basis.n,
         "degree": model.degree,
-        "ordering": model.ordering,
-        "exponents": [list(alpha) for alpha in model.exponents],
-        "coefficients": [float(c) for c in model.coefficients],
+        "ordering": ORDERING_TAG,
+        "exponents": [list(alpha) for alpha in basis.exponents],
+        "coefficients": [float(c) for c in model.poly.coeffs],
         "lambda": model.lam,
         "kernel_dim": model.kernel_dim,
         "kind": model.kind,
@@ -122,7 +104,8 @@ def _finite_floats(values, length: int) -> np.ndarray | None:
 
 
 def load_model(path) -> ModelFile:
-    """Read a model file, checking its shape, key types and finiteness.
+    """Read a model file, checking its shape, key types and finiteness, and
+    that its exponent list is the whole grlex basis up to its largest degree.
 
     A malformed file raises ValueError naming the path and the field.
     """
@@ -162,6 +145,14 @@ def load_model(path) -> ModelFile:
         raise bad(
             "exponents", f"must be a non-empty list of {n} non-negative integers per term"
         )
+    # len(basis) is a binomial, so a file whose length is wrong is refused
+    # before any enumeration: the work stays bounded by the file's size.
+    basis = enumerate_monomials(n, max(sum(alpha) for alpha in exponents))
+    if len(exponents) != len(basis) or basis.exponents != tuple(map(tuple, exponents)):
+        raise bad(
+            "exponents",
+            f"must list the grlex basis of degree <= {basis.degree} in {n} variables",
+        )
     coefficients = _finite_floats(doc["coefficients"], len(exponents))
     if coefficients is None:
         raise bad("coefficients", f"must be a list of {len(exponents)} finite numbers")
@@ -188,10 +179,8 @@ def load_model(path) -> ModelFile:
             )
         record = NormalizationRecord(scale=scale, offset=offset)
     return ModelFile(
-        n=n,
+        poly=Poly(basis, coefficients),
         degree=doc["degree"],
-        exponents=tuple(tuple(alpha) for alpha in exponents),
-        coefficients=coefficients,
         lam=float(lam[0]),
         kernel_dim=doc["kernel_dim"],
         kind=kind,

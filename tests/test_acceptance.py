@@ -77,7 +77,7 @@ def test_criterion_1_exact_recovery(tmp_path):
     lam = manifest["results"]["lambda"]
     trace = manifest["results"]["trace"]
     rational = rationalize(
-        load_model(model_path).polynomial(), max_denominator=64, drop_tol=1e-6
+        load_model(model_path).poly, max_denominator=64, drop_tol=1e-6
     )
     target = sphere_plane_polynomial()
     coeffs_equal = all(

@@ -71,7 +71,7 @@ def test_fit_degree_zero_forced_constant(tmp_path):
     assert run("fit", "-i", cloud, "-D", 0, "-o", model_path) == 0
     model = load_model(model_path)
     assert model.lam == pytest.approx(25.0)
-    assert np.array_equal(model.coefficients, np.array([1.0]))
+    assert np.array_equal(model.poly.coeffs, np.array([1.0]))
 
 
 def test_fit_degree_one_diagonal_kernel(tmp_path):
@@ -96,7 +96,7 @@ def test_sample_and_postcondition(tmp_path):
     assert run("sample", "--model", model, "--method", "direct", "--m", 100,
                "--eta", 0.001, "--seed", 7, "-o", out) == 0
     resampled = load_cloud(out)
-    f = load_model(model).polynomial()
+    f = load_model(model).poly
     assert np.abs(f.evaluate(resampled.points)).max() < 0.001
     manifest = json.loads((tmp_path / "resampled.csv.manifest.json").read_text())
     assert 0 < manifest["results"]["acceptance_rate"] <= 1
@@ -410,6 +410,13 @@ MALFORMED_MODELS = [
     ("exponents-int", _set("exponents", 5), "'exponents'"),
     ("exponent-short", _set_item("exponents", 0, [3, 0]), "'exponents'"),
     ("exponent-negative", _set_item("exponents", 0, [3, 0, -1]), "'exponents'"),
+    ("exponents-swapped",
+     lambda doc: {**doc, "exponents": [doc["exponents"][1], doc["exponents"][0],
+                                       *doc["exponents"][2:]]},
+     "'exponents'"),
+    ("exponent-huge",
+     lambda doc: {**doc, "exponents": [[100000, 0, 0]], "coefficients": [1.0]},
+     "'exponents'"),
     ("n-bool", _set("n", True), "'n'"),
     ("n-string", _set("n", "3"), "'n'"),
     ("coefficient-null", _set_item("coefficients", 2, None), "'coefficients'"),

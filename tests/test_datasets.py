@@ -34,7 +34,7 @@ from varietyfit.modelio import (
     load_model,
     save_model,
 )
-from varietyfit.polynomials import enumerate_monomials
+from varietyfit.polynomials import Poly, enumerate_monomials
 
 from conftest import SPHERE_PLANE_TERMS, distance_to_line
 
@@ -274,14 +274,11 @@ def test_model_round_trip_bit_exact(tmp_path):
     path = tmp_path / "model.json"
     save_model(model, path)
     again = load_model(path)
-    assert np.array_equal(model.coefficients, again.coefficients)
+    assert np.array_equal(model.poly.coeffs, again.poly.coeffs)
     assert again.lam == model.lam
-    assert again.exponents == model.exponents
+    assert again.poly.basis.exponents == model.poly.basis.exponents
     assert again.kernel_dim == model.kernel_dim
     assert again.seed == 12
-    assert np.array_equal(
-        again.polynomial().coeffs, model.polynomial().coeffs
-    )
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -294,10 +291,8 @@ def model_files(draw):
     vectors = st.lists(FINITE, min_size=n, max_size=n)
     normalization = draw(st.none() | st.builds(NormalizationRecord, vectors, vectors))
     return ModelFile(
-        n=n,
+        poly=Poly(basis, draw(st.lists(FINITE, min_size=len(basis), max_size=len(basis)))),
         degree=basis.degree,
-        exponents=basis.exponents,
-        coefficients=draw(st.lists(FINITE, min_size=len(basis), max_size=len(basis))),
         lam=draw(FINITE),
         kernel_dim=draw(st.integers(0, 50)),
         kind=draw(st.sampled_from(["map", "intersected"])),
@@ -317,11 +312,11 @@ def test_model_save_load_round_trip_is_bit_exact(tmp_path_factory, model):
     path = tmp_path_factory.mktemp("roundtrip") / "model.json"
     save_model(model, path)
     again = load_model(path)
-    assert _bits(again.coefficients) == _bits(model.coefficients)
+    assert _bits(again.poly.coeffs) == _bits(model.poly.coeffs)
     assert _bits(again.lam) == _bits(model.lam)
-    assert again.exponents == model.exponents
-    assert (again.n, again.degree, again.kernel_dim) == (model.n, model.degree, model.kernel_dim)
-    assert (again.kind, again.seed, again.ordering) == (model.kind, model.seed, model.ordering)
+    assert again.poly.basis == model.poly.basis
+    assert (again.degree, again.kernel_dim) == (model.degree, model.kernel_dim)
+    assert (again.kind, again.seed) == (model.kind, model.seed)
     if model.normalization is None:
         assert again.normalization is None
     else:
@@ -333,8 +328,7 @@ def test_model_intersected_kind(tmp_path):
     fit = fit_map(PointCloud(np.array([[0.1, 0.1], [0.6, 0.6]])), 1)
     model = ModelFile.from_fit(fit, intersected=True)
     assert model.kind == "intersected"
-    poly = model.polynomial()
-    assert poly.basis.degree == 2
+    assert model.poly.basis.degree == 2
     path = tmp_path / "m.json"
     save_model(model, path)
     assert load_model(path).kind == "intersected"
@@ -349,6 +343,27 @@ def test_model_rejects_unknown_ordering(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError):
         load_model(path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        # two rows of a whole grlex basis exchanged
+        lambda doc: {**doc, "exponents": [doc["exponents"][1], doc["exponents"][0],
+                                          *doc["exponents"][2:]]},
+        # one term whose basis would have about 1.7e14 monomials
+        lambda doc: {**doc, "exponents": [[100000, 0, 0]], "coefficients": [1.0]},
+    ],
+    ids=["exponents-swapped", "exponent-huge"],
+)
+def test_model_exponents_must_be_the_grlex_basis(tmp_path, edit):
+    fit = fit_map(gen_sphere_plane(100, 0.5, seed=14), 2)
+    path = tmp_path / "m.json"
+    save_model(ModelFile.from_fit(fit), path)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(ValueError, match="exponents") as exc:
+        load_model(path)
+    assert str(path) in str(exc.value)
 
 
 # -------------------------------------------------------------- script export
