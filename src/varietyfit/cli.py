@@ -191,17 +191,23 @@ def _compare(a: PointCloud, b: PointCloud, method: str, reg):
     return plan
 
 
+def _transport_diagnostics(plan) -> dict:
+    # Why a distance came out as it did: solver, iterations, the marginal
+    # error it stopped at and Sinkhorn's final over-relaxation factor.
+    return {
+        "method": plan.method,
+        "iterations": plan.iterations,
+        "marginal_error": plan.marginal_error,
+        "omega": plan.omega,
+    }
+
+
 def cmd_compare(args) -> dict:
     a = load_cloud(args.input_a, header=args.header)
     b = load_cloud(args.input_b, header=args.header)
     plan = _compare(a, b, args.method, args.reg)
     print(f"wasserstein {plan.cost:.6f} ({plan.method})")
-    results = {
-        "distance": plan.cost,
-        "method": plan.method,
-        "iterations": plan.iterations,
-        "marginal_error": plan.marginal_error,
-    }
+    results = {"distance": plan.cost} | _transport_diagnostics(plan)
     with open(args.output, "w", encoding="utf-8") as fh:
         json.dump(results, fh, indent=2)
         fh.write("\n")
@@ -243,7 +249,8 @@ def cmd_pipeline(args) -> dict:
     # Fit, sample and filter in degree order; then solve the transports.
     # Exact ones are independent and release the GIL, so they run on up to
     # one thread per usable CPU; Sinkhorn ones, which each hold several
-    # dense matrices, run one at a time. Rows get their distance at the end.
+    # dense matrices, run one at a time. Rows get their distance and transport
+    # diagnostics at the end.
     rows, resamples = [], []
     for degree in degrees:
         fit = fit_map(cloud, degree)
@@ -276,20 +283,23 @@ def cmd_pipeline(args) -> dict:
             }
         )
 
-    def distance(resampled):
-        return _compare(reference, resampled, args.compare_method, args.reg).cost
+    def transport(resampled):
+        # The distance and diagnostics only: a kept plan would hold its
+        # dense coupling until every degree is done.
+        plan = _compare(reference, resampled, args.compare_method, args.reg)
+        return {"wasserstein": plan.cost} | _transport_diagnostics(plan)
 
     exact = all(
         _solver(reference, r, args.compare_method) == "exact" for r in resamples
     )
     workers = min(len(degrees), _usable_cpus()) if exact else 1
     with ThreadPoolExecutor(workers) as pool:
-        distances = list(pool.map(distance, resamples))
-    for row, w in zip(rows, distances):
-        row["wasserstein"] = w
+        transports = list(pool.map(transport, resamples))
+    for row, result in zip(rows, transports):
+        row.update(result)
         print(
             f"D={row['D']}: lambda={row['lambda']:.3e} kernel_dim={row['kernel_dim']} "
-            f"W={w:.4f} singular={row['singular_count']}"
+            f"W={row['wasserstein']:.4f} singular={row['singular_count']}"
         )
 
     header = ["D", "lambda", "kernel_dim", "wasserstein", "singular_count", "acceptance_rate"]

@@ -28,6 +28,10 @@ __all__ = [
 ]
 
 ORDERING_TAG = "grlex"
+# Model kind -> basis degree per unit of the fitted degree: a map model is
+# the leading kernel element (degree D), an intersected one the sum of
+# squares of the kernel basis (degree 2D).
+MODEL_KINDS = {"map": 1, "intersected": 2}
 
 
 @dataclass(frozen=True)
@@ -50,12 +54,15 @@ class ModelFile:
         seed: int | None = None,
         normalization: NormalizationRecord | None = None,
     ) -> "ModelFile":
+        # intersected_map returns the map polynomial itself when no
+        # eigenvalue is numerically zero; kind names the polynomial written.
+        poly = intersected_map(fit) if intersected else map_polynomial(fit)
         return cls(
-            poly=intersected_map(fit) if intersected else map_polynomial(fit),
+            poly=poly,
             degree=fit.degree,
             lam=fit.lam,
             kernel_dim=fit.kernel_dim,
-            kind="intersected" if intersected else "map",
+            kind="intersected" if poly.basis.degree != fit.degree else "map",
             seed=seed,
             normalization=normalization,
         )
@@ -104,8 +111,10 @@ def _finite_floats(values, length: int) -> np.ndarray | None:
 
 
 def load_model(path) -> ModelFile:
-    """Read a model file, checking its shape, key types and finiteness, and
-    that its exponent list is the whole grlex basis up to its largest degree.
+    """Read a model file, checking its shape, key types and finiteness,
+    that its exponent list is the whole grlex basis up to its largest degree,
+    and that its kind is "map" (basis degree == degree) or "intersected"
+    (basis degree == 2 * degree).
 
     A malformed file raises ValueError naming the path and the field.
     """
@@ -160,8 +169,13 @@ def load_model(path) -> ModelFile:
     if lam is None:
         raise bad("lambda", f"must be a finite number, got {doc['lambda']!r}")
     kind = doc.get("kind", "map")
-    if not isinstance(kind, str):
-        raise bad("kind", f"must be a string, got {kind!r}")
+    if not isinstance(kind, str) or kind not in MODEL_KINDS:
+        raise bad("kind", f"must be one of {list(MODEL_KINDS)}, got {kind!r}")
+    if basis.degree != MODEL_KINDS[kind] * doc["degree"]:
+        raise bad(
+            "degree",
+            f"{doc['degree']} does not fit a {kind!r} model of basis degree {basis.degree}",
+        )
     seed = doc.get("seed")
     if seed is not None and not _is_int(seed):
         raise bad("seed", f"must be an integer or null, got {seed!r}")

@@ -158,6 +158,12 @@ def test_compare_unequal_sizes_uses_sinkhorn(tmp_path):
     doc = json.loads(metrics.read_text())
     assert doc["method"] == "sinkhorn"
     assert doc["distance"] < 0.2
+    # The manifest carries the solve's diagnostics, Sinkhorn's final
+    # over-relaxation factor included.
+    manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
+    assert manifest["results"] == doc
+    assert doc["iterations"] > 0 and doc["marginal_error"] <= 1e-6
+    assert 1.0 <= doc["omega"] < 2.0
 
 
 @pytest.mark.parametrize("reg", ["inf", "nan", "0", "-1"])
@@ -232,6 +238,24 @@ def test_pipeline_writes_distance_table(tmp_path):
     for row in manifest["results"]["table"]:
         band = [row["band_distance_quantiles"][k] for k in ("50", "90", "99")]
         assert 0 < band[0] <= band[1] <= band[2] < np.inf
+        # transport diagnostics go to the manifest only, too
+        assert (row["method"], row["iterations"], row["marginal_error"]) == (
+            "exact-assignment", 0, 0.0
+        )
+
+
+def test_pipeline_sinkhorn_converges_at_m_120(tmp_path):
+    # Plain Sinkhorn runs out of its 20000 iterations at the default reg on
+    # degrees 2 and 3 of this seed (exit 3); over-relaxed, all three converge.
+    outdir = tmp_path / "pipe"
+    assert run("pipeline", "--m", 120, "--seed", 22, "--degrees", "1,2,3",
+               "--compare-method", "sinkhorn", "--outdir", outdir) == 0
+    lines = (outdir / "distances.csv").read_text().splitlines()
+    assert [l.split(",")[0] for l in lines[1:]] == ["1", "2", "3"]
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    for row in manifest["results"]["table"]:
+        assert row["method"] == "sinkhorn"
+        assert 0 < row["iterations"] <= 20000 and row["marginal_error"] <= 1e-6
 
 
 def test_band_quantiles_count_zero_gradients_as_inf():
@@ -267,8 +291,8 @@ def test_pipeline_runs_only_exact_transports_concurrently(
 ):
     # Each Sinkhorn solve holds several dense matrices, so those stay serial.
     # At m = 120 the default reg needs more than the 20000-iteration cap on
-    # two of these degrees, and a solve cut short now exits 3; reg = 0.005
-    # converges in under 900 iterations on all three.
+    # degree 3 of this seed, and a solve cut short exits 3; reg = 0.005
+    # converges well inside the cap on all three.
     pools = []
 
     class Pool(cli.ThreadPoolExecutor):
@@ -434,6 +458,10 @@ MALFORMED_MODELS = [
     ("normalization-nan", _set("normalization", {"scale": [1, 1, float("nan")],
                                                  "offset": [0, 0, 0]}), "'normalization'"),
     ("normalization-list", _set("normalization", [1, 1, 1]), "'normalization'"),
+    ("kind-unknown", _set("kind", "banana"), "'kind'"),
+    ("kind-list", _set("kind", ["map"]), "'kind'"),
+    ("degree-disagrees", _set("degree", 7), "'degree'"),
+    ("degree-intersected", _set("kind", "intersected"), "'degree'"),
 ]
 
 

@@ -29,6 +29,7 @@ from varietyfit.datasets import (
 )
 from varietyfit.fitting import fit_map, rationalize
 from varietyfit.modelio import (
+    MODEL_KINDS,
     ModelFile,
     export_singular_script,
     load_model,
@@ -287,15 +288,17 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 @st.composite
 def model_files(draw):
     n = draw(st.integers(1, 4))
-    basis = enumerate_monomials(n, draw(st.integers(0, 4)))
+    kind = draw(st.sampled_from(list(MODEL_KINDS)))
+    degree = draw(st.integers(0, 4 // MODEL_KINDS[kind]))
+    basis = enumerate_monomials(n, MODEL_KINDS[kind] * degree)
     vectors = st.lists(FINITE, min_size=n, max_size=n)
     normalization = draw(st.none() | st.builds(NormalizationRecord, vectors, vectors))
     return ModelFile(
         poly=Poly(basis, draw(st.lists(FINITE, min_size=len(basis), max_size=len(basis)))),
-        degree=basis.degree,
+        degree=degree,
         lam=draw(FINITE),
         kernel_dim=draw(st.integers(0, 50)),
-        kind=draw(st.sampled_from(["map", "intersected"])),
+        kind=kind,
         seed=draw(st.none() | st.integers(-(2**63), 2**63)),
         normalization=normalization,
     )
@@ -332,6 +335,30 @@ def test_model_intersected_kind(tmp_path):
     path = tmp_path / "m.json"
     save_model(model, path)
     assert load_model(path).kind == "intersected"
+
+
+def test_model_intersected_without_zero_eigenvalue_is_a_map(tmp_path):
+    # Noisy data: no eigenvalue is numerically zero, so intersected_map
+    # returns the degree-D map polynomial, and the file says so.
+    fit = fit_map(gen_sphere_plane(100, 0.5, seed=14, noise_sigma=0.01), 2)
+    assert fit.lam > fit.multiplicity_tol
+    model = ModelFile.from_fit(fit, intersected=True)
+    assert (model.kind, model.poly.basis.degree) == ("map", 2)
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    assert load_model(path).kind == "map"
+
+
+@pytest.mark.parametrize("edit", [{"degree": 2}, {"kind": "map"}], ids=["degree", "kind"])
+def test_intersected_model_degree_must_be_half_the_basis_degree(tmp_path, edit):
+    # The map-model cases are in test_cli's MALFORMED_MODELS.
+    fit = fit_map(PointCloud(np.array([[0.1, 0.1], [0.6, 0.6]])), 1)
+    path = tmp_path / "m.json"
+    save_model(ModelFile.from_fit(fit, intersected=True), path)
+    path.write_text(json.dumps(json.loads(path.read_text()) | edit))
+    with pytest.raises(ValueError, match="'degree'") as exc:
+        load_model(path)
+    assert str(path) in str(exc.value)
 
 
 def test_model_rejects_unknown_ordering(tmp_path):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
-from scipy.special import logsumexp
 
 from varietyfit import transport
 from varietyfit.cloud import PointCloud
@@ -185,10 +184,18 @@ def test_sinkhorn_validation():
             wasserstein_sinkhorn(a, a, **kwargs)
 
 
-def _log_domain_sinkhorn(a, b, reg, max_iters=20000, tol=1e-6):
-    """Reference: the same schedule, stopping rule and plan evaluation as
-    wasserstein_sinkhorn, iterating on the log potentials with a full
-    log-sum-exp per half-step. Returns (cost, iterations, converged)."""
+def _logsumexp(x, axis):
+    # scipy.special.logsumexp's result for finite x, at a sixth of its
+    # per-call overhead on the small matrices here.
+    top = x.max(axis=axis, keepdims=True)
+    return np.log(np.exp(x - top).sum(axis=axis)) + np.squeeze(top, axis)
+
+
+def _plain_log_domain_sinkhorn(a, b, reg, max_iters=20000, tol=1e-6):
+    """Plain (omega = 1) log-domain Sinkhorn with the ε schedule and plan
+    evaluation of wasserstein_sinkhorn, stopping on the row error read off
+    how far f moved: the reference the over-relaxed solver's convergence
+    and cost are checked against. Returns (cost, iterations, converged)."""
     C = cdist(a.points, b.points, metric="sqeuclidean")
     m, mp = C.shape
     log_mu, log_nu = np.full(m, -np.log(m)), np.full(mp, -np.log(mp))
@@ -202,14 +209,63 @@ def _log_domain_sinkhorn(a, b, reg, max_iters=20000, tol=1e-6):
         stage_tol = tol if final else max(tol, 1e-4)
         stage_iter = 0
         while iterations < cap:
-            f_new = eps * (log_mu - logsumexp((g[None, :] - C) / eps, axis=1))
-            g = eps * (log_nu - logsumexp((f_new[:, None] - C) / eps, axis=0))
+            f_new = eps * (log_mu - _logsumexp((g[None, :] - C) / eps, axis=1))
+            g = eps * (log_nu - _logsumexp((f_new[:, None] - C) / eps, axis=0))
             iterations += 1
             stage_iter += 1
             row_err = np.abs(np.exp(log_mu) * np.expm1((f - f_new) / eps)).sum()
             f = f_new
             if stage_iter > 1 and row_err <= stage_tol:
                 break
+        if iterations >= max_iters:
+            break
+    P = np.exp((f[:, None] + g[None, :] - C) / eps)
+    err = max(np.abs(P.sum(axis=1) - 1 / m).sum(), np.abs(P.sum(axis=0) - 1 / mp).sum())
+    cost = float(np.sqrt((P * C).sum() / P.sum()))
+    return cost, iterations, bool(eps == reg and err <= tol)
+
+
+def _log_domain_sinkhorn(a, b, reg, max_iters=20000, tol=1e-6):
+    """Reference: the same schedule, over-relaxed map, omega rule, stopping
+    rule and plan evaluation as wasserstein_sinkhorn, iterating on the log
+    potentials with a full log-sum-exp per half-step,
+    f <- (1 - omega) f + omega f_sinkhorn. Returns (cost, iterations,
+    converged)."""
+    C = cdist(a.points, b.points, metric="sqeuclidean")
+    m, mp = C.shape
+    log_mu, log_nu = np.full(m, -np.log(m)), np.full(mp, -np.log(mp))
+    mu, nu = np.exp(log_mu), np.exp(log_nu)
+    regs = [reg]
+    while C.max() > 0 and regs[-1] < 0.1 * C.max():
+        regs.append(regs[-1] * 4.0)
+    f, g, iterations = np.zeros(m), np.zeros(mp), 0
+    window, omega_max, stall = 20, 1.95, 200
+    for eps in reversed(regs):
+        final = eps == reg
+        cap = max_iters if final else min(iterations + 100, max_iters)
+        stage_tol = tol if final else max(tol, 1e-4)
+        omega, relax, errors, col_err = 1.0, True, [], np.inf
+        while iterations < cap:
+            f_sink = eps * (log_mu - _logsumexp((g[None, :] - C) / eps, axis=1))
+            # Row sums of the current plan are mu * exp((f - f_sink) / eps).
+            err = max(np.abs(mu * np.expm1((f - f_sink) / eps)).sum(), col_err)
+            if err <= stage_tol:
+                break
+            if np.isfinite(err):
+                errors.append(err)
+                k = len(errors) - 1
+                if relax and k - int(np.argmin(errors)) >= stall:
+                    relax, omega = False, 1.0
+                elif relax and k >= window and k % window == 0:
+                    lam = (err / errors[k - window]) ** (1 / window)
+                    theta = (lam + omega - 1) ** 2 / (lam * omega**2)
+                    omega = min(2 / (1 + np.sqrt(max(1 - theta, 0))), omega_max)
+            f = (1 - omega) * f + omega * f_sink
+            g_sink = eps * (log_nu - _logsumexp((f[:, None] - C) / eps, axis=0))
+            g_new = (1 - omega) * g + omega * g_sink
+            col_err = np.abs(nu * np.expm1((g_new - g_sink) / eps)).sum()
+            g = g_new
+            iterations += 1
         if iterations >= max_iters:
             break
     P = np.exp((f[:, None] + g[None, :] - C) / eps)
@@ -275,6 +331,66 @@ def test_sinkhorn_converged_plans_meet_marginals(m, mp, dim, seed, rel_reg):
         P = plan.coupling
         assert np.abs(P.sum(axis=1) - 1 / m).sum() <= 1e-6
         assert np.abs(P.sum(axis=0) - 1 / mp).sum() <= 1e-6
+
+
+def _random_pair(rng):
+    """One draw of the over-relaxation study: clouds of 1-79 points in 1-3
+    dimensions, the second shifted, and reg between 1e-4 and 1e-1 of the
+    median squared distance."""
+    m, mp = (int(k) for k in rng.integers(1, 80, 2))
+    dim = int(rng.integers(1, 4))
+    a = PointCloud(rng.random((m, dim)))
+    b = PointCloud(rng.random((mp, dim)) + 0.3 * rng.random())
+    reg = 10 ** rng.uniform(-4, -1) * float(np.median(cdist(a.points, b.points, "sqeuclidean")))
+    return a, b, reg
+
+
+def _study_pair(seed, index):
+    rng = np.random.default_rng(seed)
+    for _ in range(index):
+        _random_pair(rng)
+    return _random_pair(rng)
+
+
+def _assert_relaxed_matches_plain(a, b, reg, max_iters=20000):
+    plain_cost, _, plain_converged = _plain_log_domain_sinkhorn(a, b, reg, max_iters)
+    plan = wasserstein_sinkhorn(a, b, reg=reg, max_iters=max_iters)
+    if plain_converged:
+        assert plan.converged
+        assert abs(plan.cost - plain_cost) <= 1e-5 * plain_cost
+
+
+# Fixed examples: the property has a rare known counterexample (the strict
+# xfail below), which a random search would turn into an intermittent failure.
+# The 4000-iteration budget, shared by both solvers, keeps the log-domain
+# reference affordable.
+@settings(max_examples=16, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_sinkhorn_converges_where_plain_does(seed):
+    _assert_relaxed_matches_plain(*_random_pair(np.random.default_rng(seed)), max_iters=4000)
+
+
+def test_sinkhorn_relaxation_cap_case():
+    # Case 293 of the study's default_rng(7) draws: 60 vs 9 points on a line.
+    # Plain Sinkhorn converges in 5047 iterations; with omega capped at 1.98
+    # instead of OMEGA_MAX the relaxed solve crawls at the cap until it runs
+    # out of iterations.
+    a, b, reg = _study_pair(7, 293)
+    assert (a.m, b.m, a.dim) == (60, 9, 1)
+    assert _plain_log_domain_sinkhorn(a, b, reg)[1:] == (5047, True)
+    _assert_relaxed_matches_plain(a, b, reg)
+
+
+@pytest.mark.xfail(strict=True, reason="over-relaxation strands mass across a near-cut")
+def test_sinkhorn_converges_where_plain_does_split_line():
+    # Case 78 of default_rng(8): 22 vs 52 points on a line at reg ~3e-4 of
+    # the median. The plan splits into two blocks joined by exponentially
+    # small kernel entries; plain Sinkhorn converges in 3390 iterations, the
+    # over-relaxed path leaves a block-mass error that decays ~1e-5 per
+    # iteration, and plain scaling continued from there is as slow.
+    a, b, reg = _study_pair(8, 78)
+    assert (a.m, b.m, a.dim) == (22, 52, 1)
+    _assert_relaxed_matches_plain(a, b, reg)
 
 
 def test_plan_is_frozen_record():
