@@ -88,7 +88,16 @@ _GENERATORS = {
 # main times it and writes the manifest.
 
 
+def _check_generator_flags(args) -> None:
+    # A flag the kind's generator does not read is refused, not ignored.
+    if args.kind == "sphere-plane-singular" and args.sigma != 0:
+        raise ValueError("--sigma does not apply to sphere-plane-singular, which is noise-free")
+    if args.kind != "sphere-plane" and args.plane_fraction != 0.5:
+        raise ValueError(f"--plane-fraction applies to sphere-plane only, not {args.kind}")
+
+
 def cmd_gen(args) -> dict:
+    _check_generator_flags(args)
     cloud = _GENERATORS[args.kind](args.m, args.seed, args.sigma, args.plane_fraction)
     save_cloud(cloud, args.output)
     print(f"wrote {cloud.m} x {cloud.dim} cloud to {args.output}")
@@ -130,7 +139,8 @@ def _band_quantiles(values: np.ndarray, gradient_norms: np.ndarray) -> dict:
 
 
 def cmd_sample(args) -> dict:
-    f = load_model(args.model).poly
+    model = load_model(args.model)
+    f = model.poly
     cfg = SamplerConfig(
         seed=args.seed,
         target_m=args.m,
@@ -139,7 +149,10 @@ def cmd_sample(args) -> dict:
     )
     sampler = direct_sample if args.method == "direct" else rejection_sample
     cloud, stats = sampler(f, cfg, full_output=True)
-    save_cloud(cloud, args.output)
+    # The sample is drawn in model coordinates; a normalized model's goes
+    # out in the data's.
+    record = model.normalization
+    save_cloud(cloud if record is None else PointCloud(record.invert(cloud.points)), args.output)
     print(
         f"wrote {cloud.m} points to {args.output} "
         f"(acceptance rate {stats['acceptance_rate']:.3g})"
@@ -149,22 +162,30 @@ def cmd_sample(args) -> dict:
 
 
 def cmd_singular(args) -> dict:
-    f = load_model(args.model).poly
+    model = load_model(args.model)
+    f = model.poly
     cloud = load_cloud(args.input, header=args.header)
+    if cloud.dim != f.basis.n:
+        raise ValueError(f"cloud dimension {cloud.dim} does not match the model's n={f.basis.n}")
     if args.eta is not None and args.epsilon <= args.eta:
         print(
             f"warning: epsilon={args.epsilon} <= eta={args.eta}; the filter "
             "guarantee needs epsilon > eta",
             file=sys.stderr,
         )
-    report = singularity_filter(f, cloud, args.epsilon)
-    save_cloud(report.accepted, args.output)
+    # A normalized model is filtered in its own coordinates; the accepted
+    # input rows go out as read.
+    record = model.normalization
+    in_model = cloud if record is None else PointCloud(record.apply(cloud.points))
+    report = singularity_filter(f, in_model, args.epsilon)
+    accepted = PointCloud(cloud.points[report.gradient_norms < args.epsilon])
+    save_cloud(accepted, args.output)
     if args.norms_output:
         np.savetxt(args.norms_output, report.gradient_norms, fmt="%.17g")
-    print(f"accepted {report.accepted_count} of {cloud.m} points")
+    print(f"accepted {accepted.m} of {cloud.m} points")
     q = np.percentile(report.gradient_norms, [1, 5, 25, 50, 75, 95, 99])
     return {
-        "accepted_count": report.accepted_count,
+        "accepted_count": accepted.m,
         "input_count": cloud.m,
         "gradient_norm_percentiles": {
             p: float(v) for p, v in zip([1, 5, 25, 50, 75, 95, 99], q)
@@ -172,15 +193,17 @@ def cmd_singular(args) -> dict:
     }
 
 
-def _solver(a: PointCloud, b: PointCloud, method: str) -> str:
-    if method == "auto":
-        return "exact" if a.m == b.m else "sinkhorn"
-    return method
+def _refuse_reg_if_exact(exact: bool, reg) -> None:
+    if exact and reg is not None:
+        raise ValueError("--reg sets Sinkhorn's regularization; equal-size clouds are solved exactly")
 
 
-def _compare(a: PointCloud, b: PointCloud, method: str, reg):
-    """Transport plan from a to b; a Sinkhorn solve cut short raises."""
-    if _solver(a, b, method) == "exact":
+def _compare(a: PointCloud, b: PointCloud, reg):
+    """Transport plan from a to b: exact for equal sizes, Sinkhorn otherwise.
+
+    A Sinkhorn solve cut short raises.
+    """
+    if a.m == b.m:
         return wasserstein_exact(a, b)
     plan = wasserstein_sinkhorn(a, b, reg=reg)
     if not plan.converged:
@@ -205,7 +228,8 @@ def _transport_diagnostics(plan) -> dict:
 def cmd_compare(args) -> dict:
     a = load_cloud(args.input_a, header=args.header)
     b = load_cloud(args.input_b, header=args.header)
-    plan = _compare(a, b, args.method, args.reg)
+    _refuse_reg_if_exact(a.m == b.m, args.reg)
+    plan = _compare(a, b, args.reg)
     print(f"wasserstein {plan.cost:.6f} ({plan.method})")
     results = {"distance": plan.cost} | _transport_diagnostics(plan)
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -232,25 +256,35 @@ def _usable_cpus() -> int:
 
 
 def cmd_pipeline(args) -> dict:
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    _check_generator_flags(args)
     degrees = [int(d) for d in args.degrees.split(",")]
-
     cloud = _GENERATORS[args.kind](args.m, args.seed, args.sigma, args.plane_fraction)
-    save_cloud(cloud, outdir / "omega.csv")
     if args.reference:
         reference = load_cloud(args.reference, header=args.header)
+        if reference.dim != cloud.dim:
+            raise ValueError(
+                f"{args.reference}: reference dimension {reference.dim} does not "
+                f"match the {args.kind} cloud's {cloud.dim}"
+            )
     elif args.sigma > 0:
         reference = _GENERATORS[args.kind](args.m, args.seed, 0.0, args.plane_fraction)
     else:
         reference = cloud
+    # Every resample has exactly --m points, so the cloud sizes pick one
+    # solver for all degrees: exact transports are independent and release
+    # the GIL, so they run on up to one thread per usable CPU; Sinkhorn ones,
+    # which each hold several dense matrices, run one at a time.
+    exact = reference.m == args.m
+    _refuse_reg_if_exact(exact, args.reg)
+    workers = min(len(degrees), _usable_cpus()) if exact else 1
+
+    outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    save_cloud(cloud, outdir / "omega.csv")
     save_cloud(reference, outdir / "reference.csv")
 
     # Fit, sample and filter in degree order; then solve the transports.
-    # Exact ones are independent and release the GIL, so they run on up to
-    # one thread per usable CPU; Sinkhorn ones, which each hold several
-    # dense matrices, run one at a time. Rows get their distance and transport
-    # diagnostics at the end.
+    # Rows get their distance and transport diagnostics at the end.
     rows, resamples = [], []
     for degree in degrees:
         fit = fit_map(cloud, degree)
@@ -286,13 +320,9 @@ def cmd_pipeline(args) -> dict:
     def transport(resampled):
         # The distance and diagnostics only: a kept plan would hold its
         # dense coupling until every degree is done.
-        plan = _compare(reference, resampled, args.compare_method, args.reg)
+        plan = _compare(reference, resampled, args.reg)
         return {"wasserstein": plan.cost} | _transport_diagnostics(plan)
 
-    exact = all(
-        _solver(reference, r, args.compare_method) == "exact" for r in resamples
-    )
-    workers = min(len(degrees), _usable_cpus()) if exact else 1
     with ThreadPoolExecutor(workers) as pool:
         transports = list(pool.map(transport, resamples))
     for row, result in zip(rows, transports):
@@ -360,8 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="Wasserstein distance between two clouds")
     p.add_argument("--input-a", required=True)
     p.add_argument("--input-b", required=True)
-    p.add_argument("--method", choices=["exact", "sinkhorn", "auto"], default="auto")
-    p.add_argument("--reg", type=float, default=None)
+    p.add_argument("--reg", type=float, default=None, help="Sinkhorn regularization (unequal sizes only)")
     p.add_argument("--header", action="store_true")
     p.add_argument("--output", "-o", required=True, help="metrics JSON path")
     p.set_defaults(func=cmd_compare)
@@ -384,8 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, default=1e-3)
     p.add_argument("--epsilon", type=float, default=0.02)
     p.add_argument("--max-proposals", type=int, default=None)
-    p.add_argument("--compare-method", choices=["exact", "sinkhorn", "auto"], default="auto")
-    p.add_argument("--reg", type=float, default=None)
+    p.add_argument("--reg", type=float, default=None, help="Sinkhorn regularization (--reference of another size only)")
     p.add_argument("--reference", default=None, help="reference cloud CSV (default: noise-free regeneration)")
     p.add_argument("--header", action="store_true")
     p.add_argument("--seed", type=int, required=True)

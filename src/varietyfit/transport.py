@@ -5,8 +5,8 @@ reported as the root of the coupling-weighted mean squared distance. Two
 solvers: the exact assignment solver for equal-size clouds, and entropically
 regularized Sinkhorn scaling (stabilized, kernel-domain, over-relaxed) for
 any sizes, whose cost is reported sharp (without the entropy term). The
-library does not pick between them; the CLI's `compare` and `pipeline` do
-(cli._solver: exact for equal-size clouds, Sinkhorn otherwise).
+library does not pick between them; the CLI's `compare` and `pipeline` do,
+from the cloud sizes alone: exact for equal sizes, Sinkhorn otherwise.
 
 The Sinkhorn update is over-relaxed, u <- u * (mu / (u * K v))^omega and
 then v <- v * (nu / (v * K^T u))^omega (Thibault, Chizat, Dossal &

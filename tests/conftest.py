@@ -1,14 +1,19 @@
-"""Shared numeric oracles for the test suite.
+"""Shared numeric oracles for the test suite, and one solve helper.
 
-These deliberately use closed forms or dense discretizations rather than
-package code paths, so they stay independent of what they check.
+The oracles deliberately use closed forms or dense discretizations rather
+than package code paths, so they stay independent of what they check.
+exact_costs only schedules the package's exact solver.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 from varietyfit.polynomials import Poly
+from varietyfit.transport import wasserstein_exact
 
 SQRT2 = np.sqrt(2.0)
 
@@ -100,3 +105,18 @@ def distance_to_line(points: np.ndarray, anchor, direction) -> np.ndarray:
     diff = points - np.asarray(anchor, dtype=float)
     perp = diff - (diff @ d)[:, None] * d
     return np.linalg.norm(perp, axis=1)
+
+
+def exact_costs(pairs) -> list[float]:
+    """wasserstein_exact(a, b).cost for each (a, b) in pairs, in pair order.
+
+    The solves are independent and the assignment solver releases the GIL,
+    so they run on min(#pairs, usable CPUs) threads; each thread keeps only
+    the cost, not the dense coupling.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        cpus = os.cpu_count() or 1
+    with ThreadPoolExecutor(min(len(pairs), cpus)) as pool:
+        return list(pool.map(lambda pair: wasserstein_exact(*pair).cost, pairs))

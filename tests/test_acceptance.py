@@ -38,6 +38,7 @@ from varietyfit.transport import wasserstein_exact, wasserstein_sinkhorn
 from conftest import (
     distance_to_line,
     distance_to_singular_circle,
+    exact_costs,
     sphere_plane_reference,
 )
 
@@ -106,17 +107,22 @@ def test_criterion_2_degree_sweep():
     data_w = {degree: [] for degree in (1, 2, 3)}
     model_w = {degree: [] for degree in (1, 2, 3)}
     floor = []
+    # Per seed: the floor pair, then per degree the data pair and the
+    # model pair; the 21 solves run concurrently and come back in this order.
+    pairs = []
     for seed in SEEDS:
         cloud = gen_sphere_plane(1600, 0.5, seed=seed)
-        redraw = gen_sphere_plane(1600, 0.5, seed=seed + 50000)
-        floor.append(wasserstein_exact(cloud, redraw).cost)
+        pairs.append((cloud, gen_sphere_plane(1600, 0.5, seed=seed + 50000)))
         for degree in (1, 2, 3):
             resampled, cfg = _sweep_resample(cloud, degree, seed, cloud.m)
-            data_w[degree].append(wasserstein_exact(cloud, resampled).cost)
-            truth_resampled = direct_sample(truth, cfg)
-            model_w[degree].append(
-                wasserstein_exact(resampled, truth_resampled).cost
-            )
+            pairs.append((cloud, resampled))
+            pairs.append((resampled, direct_sample(truth, cfg)))
+    costs = iter(exact_costs(pairs))
+    for seed in SEEDS:
+        floor.append(next(costs))
+        for degree in (1, 2, 3):
+            data_w[degree].append(next(costs))
+            model_w[degree].append(next(costs))
     W = {degree: float(np.mean(v)) for degree, v in data_w.items()}
     Wstar = {degree: float(np.mean(v)) for degree, v in model_w.items()}
     elapsed = time.perf_counter() - t0
@@ -135,15 +141,15 @@ def test_criterion_2_degree_sweep():
 
 
 def test_criterion_3_noise_overfitting_trend():
-    means = {}
+    pairs = []
     for degree in (3, 4, 5):
-        vals = []
         for seed in SEEDS:
             noisy = gen_sphere_plane(1600, 0.5, seed=seed, noise_sigma=0.025)
             reference = gen_sphere_plane(1600, 0.5, seed=seed, noise_sigma=0.0)
             resampled, _ = _sweep_resample(noisy, degree, seed, reference.m)
-            vals.append(wasserstein_exact(reference, resampled).cost)
-        means[degree] = float(np.mean(vals))
+            pairs.append((reference, resampled))
+    costs = iter(exact_costs(pairs))
+    means = {degree: float(np.mean([next(costs) for _ in SEEDS])) for degree in (3, 4, 5)}
     ok = means[4] > means[3] and means[5] > means[3]
     report(
         3,

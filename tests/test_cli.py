@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 
 import numpy as np
@@ -6,10 +7,13 @@ import pytest
 
 from varietyfit import cli, transport
 from varietyfit.cli import main
-from varietyfit.cloud import load_cloud, save_cloud
+from varietyfit.cloud import PointCloud, load_cloud, save_cloud
 from varietyfit.datasets import gen_sphere_plane
+from varietyfit.fitting import fit_map, map_polynomial
 from varietyfit.modelio import load_model
-from varietyfit.transport import wasserstein_exact
+from varietyfit.sampling import SamplerConfig, direct_sample
+from varietyfit.singular import singularity_filter
+from varietyfit.transport import wasserstein_exact, wasserstein_sinkhorn
 
 
 def run(*args):
@@ -176,8 +180,7 @@ def test_compare_rejects_bad_reg(tmp_path, reg):
     assert not metrics.exists()
 
 
-@pytest.mark.parametrize("method", ["auto", "exact", "sinkhorn"])
-def test_compare_equal_clouds_over_budget_exit_2(tmp_path, monkeypatch, capsys, method):
+def test_compare_equal_clouds_over_budget_exit_2(tmp_path, monkeypatch, capsys):
     def no_cost_matrix(*args, **kwargs):
         raise AssertionError("cost matrix built")
 
@@ -187,11 +190,108 @@ def test_compare_equal_clouds_over_budget_exit_2(tmp_path, monkeypatch, capsys, 
     for path in (a, b):
         np.savetxt(path, rng.random((4097, 1)), fmt="%.17g")
     metrics = tmp_path / "m.json"
-    assert run("compare", "--input-a", a, "--input-b", b, "--method", method,
-               "-o", metrics) == 2
+    assert run("compare", "--input-a", a, "--input-b", b, "-o", metrics) == 2
     assert "4097 x 4097 cost matrix needs 134283272 bytes" in capsys.readouterr().err
     assert not metrics.exists()
     assert not (tmp_path / "m.json.manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--input-a", "a.csv", "--input-b", "a.csv", "--method", "exact",
+         "-o", "m.json"],
+        ["pipeline", "--m", 50, "--seed", 1, "--compare-method", "auto", "--outdir", "pipe"],
+    ],
+    ids=["compare-method", "pipeline-compare-method"],
+)
+def test_solver_choice_is_not_a_flag(tmp_path, monkeypatch, argv):
+    # The cloud sizes pick the solver; there is no flag to override them.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+# (case id, argv, what the message names); every case is refused before any
+# output is written.
+REFUSED_INPUTS = [
+    ("gen-singular-sigma", ["gen", "sphere-plane-singular", "--m", 40, "--sigma", 0.3,
+                            "--seed", 1, "-o", "x.csv"], "--sigma"),
+    ("gen-singular-plane-fraction", ["gen", "sphere-plane-singular", "--m", 40,
+                                     "--plane-fraction", 0.3, "--seed", 1, "-o", "x.csv"],
+     "--plane-fraction"),
+    ("gen-line-plane-fraction", ["gen", "noisy-line", "--m", 40, "--sigma", 0.01,
+                                 "--plane-fraction", 0.3, "--seed", 1, "-o", "x.csv"],
+     "--plane-fraction"),
+    ("pipeline-singular-sigma", ["pipeline", "--kind", "sphere-plane-singular", "--m", 60,
+                                 "--sigma", 0.3, "--seed", 1, "--outdir", "pipe"], "--sigma"),
+    ("pipeline-line-plane-fraction", ["pipeline", "--kind", "noisy-line", "--m", 60,
+                                      "--plane-fraction", 0.7, "--seed", 1, "--outdir", "pipe"],
+     "--plane-fraction"),
+    ("compare-reg-equal-sizes", ["compare", "--input-a", "a.csv", "--input-b", "b.csv",
+                                 "--reg", 0.5, "-o", "m.json"], "--reg"),
+    ("pipeline-reg-exact", ["pipeline", "--m", 60, "--reg", 0.5, "--seed", 1,
+                            "--outdir", "pipe"], "--reg"),
+    ("pipeline-reference-2d", ["pipeline", "--m", 60, "--reference", "flat.csv", "--seed", 1,
+                               "--outdir", "pipe"], "dimension 2"),
+]
+
+
+@pytest.mark.parametrize("argv,named", [c[1:] for c in REFUSED_INPUTS],
+                         ids=[c[0] for c in REFUSED_INPUTS])
+def test_refused_input_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys, argv, named):
+    monkeypatch.chdir(tmp_path)
+    save_cloud(gen_sphere_plane(60, 0.5, seed=1), tmp_path / "a.csv")
+    save_cloud(gen_sphere_plane(60, 0.5, seed=2), tmp_path / "b.csv")
+    save_cloud(PointCloud(np.random.default_rng(3).random((60, 2))), tmp_path / "flat.csv")
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert run(*argv) == 2
+    assert named in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_normalized_model_is_used_in_data_coordinates(tmp_path):
+    # Data in [5, 15]^3; the model is fitted in [0, 1]^3 and records the map.
+    raw = tmp_path / "raw.csv"
+    save_cloud(PointCloud(10 * gen_sphere_plane(800, 0.5, seed=3).points + 5), raw)
+    model_path = tmp_path / "model.json"
+    assert run("fit", "-i", raw, "-D", 3, "--normalize", "-o", model_path) == 0
+    model = load_model(model_path)
+    points = load_cloud(raw).points
+
+    # singular filters the mapped points and writes the accepted input rows
+    sing, norms = tmp_path / "sing.csv", tmp_path / "norms.txt"
+    assert run("singular", "--model", model_path, "-i", raw, "--epsilon", 0.02,
+               "--norms-output", norms, "-o", sing) == 0
+    expected = singularity_filter(
+        model.poly, PointCloud(model.normalization.apply(points)), 0.02
+    )
+    assert expected.accepted_count == 106
+    keep = expected.gradient_norms < 0.02
+    assert np.array_equal(load_cloud(sing).points, points[keep])
+    assert np.array_equal(np.loadtxt(norms), expected.gradient_norms)
+    manifest = json.loads((tmp_path / "sing.csv.manifest.json").read_text())
+    assert manifest["results"]["accepted_count"] == 106
+
+    # sample writes its points in the data's coordinates
+    resampled = tmp_path / "resampled.csv"
+    assert run("sample", "--model", model_path, "--m", 800, "--seed", 4,
+               "-o", resampled) == 0
+    sampled = load_cloud(resampled).points
+    assert sampled.shape == (800, 3)
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    assert np.all(sampled >= lo - 1e-9) and np.all(sampled <= hi + 1e-9)
+    assert 5.0 <= sampled.min() and sampled.max() <= 15.0
+
+    # A one-column cloud would broadcast through the record: refused instead.
+    line = tmp_path / "line.csv"
+    save_cloud(PointCloud(points[:, :1]), line)
+    assert run("singular", "--model", model_path, "-i", line, "--epsilon", 0.02,
+               "-o", tmp_path / "line_sing.csv") == 2
+    assert not (tmp_path / "line_sing.csv").exists()
 
 
 def test_export_algebra_and_rationalization_failure(tmp_path):
@@ -244,18 +344,17 @@ def test_pipeline_writes_distance_table(tmp_path):
         )
 
 
-def test_pipeline_sinkhorn_converges_at_m_120(tmp_path):
-    # Plain Sinkhorn runs out of its 20000 iterations at the default reg on
-    # degrees 2 and 3 of this seed (exit 3); over-relaxed, all three converge.
-    outdir = tmp_path / "pipe"
-    assert run("pipeline", "--m", 120, "--seed", 22, "--degrees", "1,2,3",
-               "--compare-method", "sinkhorn", "--outdir", outdir) == 0
-    lines = (outdir / "distances.csv").read_text().splitlines()
-    assert [l.split(",")[0] for l in lines[1:]] == ["1", "2", "3"]
-    manifest = json.loads((outdir / "manifest.json").read_text())
-    for row in manifest["results"]["table"]:
-        assert row["method"] == "sinkhorn"
-        assert 0 < row["iterations"] <= 20000 and row["marginal_error"] <= 1e-6
+def test_pipeline_sinkhorn_converges_at_m_120():
+    # The clouds `pipeline --m 120 --seed 22 --degrees 1,2,3` transports,
+    # solved by Sinkhorn: plain scaling runs out of its 20000 iterations at
+    # the default reg on degrees 2 and 3; over-relaxed, all three converge.
+    cloud = gen_sphere_plane(120, 0.5, seed=22)
+    for degree in (1, 2, 3):
+        f = map_polynomial(fit_map(cloud, degree))
+        resampled = direct_sample(f, SamplerConfig(seed=22 + 1000 * degree, target_m=120))
+        plan = wasserstein_sinkhorn(cloud, resampled)
+        assert plan.converged, degree
+        assert 0 < plan.iterations <= 20000 and plan.marginal_error <= 1e-6
 
 
 def test_band_quantiles_count_zero_gradients_as_inf():
@@ -290,9 +389,13 @@ def test_pipeline_runs_only_exact_transports_concurrently(
     tmp_path, monkeypatch, method, workers
 ):
     # Each Sinkhorn solve holds several dense matrices, so those stay serial.
-    # At m = 120 the default reg needs more than the 20000-iteration cap on
-    # degree 3 of this seed, and a solve cut short exits 3; reg = 0.005
-    # converges well inside the cap on all three.
+    # A 150-point reference against 120-point resamples picks Sinkhorn;
+    # reg = 0.005 converges well inside the 20000-iteration cap on all three
+    # degrees of this seed.
+    extra = []
+    if method == "sinkhorn":
+        save_cloud(gen_sphere_plane(150, 0.5, seed=20), tmp_path / "ref.csv")
+        extra = ["--reference", tmp_path / "ref.csv", "--reg", 0.005]
     pools = []
 
     class Pool(cli.ThreadPoolExecutor):
@@ -302,20 +405,29 @@ def test_pipeline_runs_only_exact_transports_concurrently(
 
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
     monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
-    assert run("pipeline", "--m", 120, "--seed", 20, "--degrees", "1,2,3", "--reg", 0.005,
-               "--compare-method", method, "--outdir", tmp_path / "pipe") == 0
+    assert run("pipeline", "--m", 120, "--seed", 20, "--degrees", "1,2,3", *extra,
+               "--outdir", tmp_path / "pipe") == 0
     assert pools == [workers]
+    table = json.loads((tmp_path / "pipe" / "manifest.json").read_text())["results"]["table"]
+    solver = {"exact": "exact-assignment", "sinkhorn": "sinkhorn"}[method]
+    assert [row["method"] for row in table] == [solver] * 3
 
 
 def test_pipeline_transport_error_exits_2_without_manifest(tmp_path, monkeypatch, capsys):
+    # One of three concurrent exact solves fails with an input error.
+    calls = itertools.count()
+
+    def exact(a, b):
+        if next(calls) == 1:
+            raise ValueError("injected transport failure")
+        return wasserstein_exact(a, b)
+
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
-    reference = tmp_path / "ref.csv"
-    save_cloud(gen_sphere_plane(300, 0.5, seed=19), reference)
+    monkeypatch.setattr(cli, "wasserstein_exact", exact)
     outdir = tmp_path / "pipe"
     assert run("pipeline", "--m", 200, "--seed", 19, "--degrees", "1,2,3",
-               "--reference", reference, "--compare-method", "exact",
                "--outdir", outdir) == 2
-    assert "equal cloud sizes" in capsys.readouterr().err
+    assert "injected transport failure" in capsys.readouterr().err
     assert not (outdir / "manifest.json").exists()
     assert not (outdir / "distances.csv").exists()
 
@@ -395,9 +507,12 @@ def test_pipeline_nonconvergence_exits_3_without_manifest(tmp_path, monkeypatch,
     monkeypatch.setattr(
         cli, "wasserstein_sinkhorn", functools.partial(cli.wasserstein_sinkhorn, max_iters=1)
     )
+    # A 150-point reference against 100-point resamples picks Sinkhorn.
+    reference = tmp_path / "ref.csv"
+    save_cloud(gen_sphere_plane(150, 0.5, seed=1), reference)
     outdir = tmp_path / "pipe"
     assert run("pipeline", "--m", 100, "--seed", 1, "--degrees", "1,3",
-               "--compare-method", "sinkhorn", "--outdir", outdir) == 3
+               "--reference", reference, "--outdir", outdir) == 3
     assert "did not converge" in capsys.readouterr().err
     assert not (outdir / "manifest.json").exists()
     assert not (outdir / "distances.csv").exists()
