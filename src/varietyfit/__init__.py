@@ -10,7 +10,6 @@ from .cloud import (
     CloudFormatError,
     NormalizationRecord,
     PointCloud,
-    add_gaussian_noise,
     load_cloud,
     normalize_to_unit_cube,
     save_cloud,
@@ -66,7 +65,6 @@ __all__ = [
     "SamplerConfig",
     "SingularityReport",
     "TransportPlan",
-    "add_gaussian_noise",
     "cyclooctane_residuals",
     "direct_sample",
     "enumerate_monomials",

@@ -89,7 +89,10 @@ _GENERATORS = {
 
 
 def _check_generator_flags(args) -> None:
-    # A flag the kind's generator does not read is refused, not ignored.
+    # Refused before anything is written: an empty cloud, and a flag the
+    # kind's generator does not read (it would be ignored).
+    if args.m < 1:
+        raise ValueError(f"--m must be at least 1, got {args.m}")
     if args.kind == "sphere-plane-singular" and args.sigma != 0:
         raise ValueError("--sigma does not apply to sphere-plane-singular, which is noise-free")
     if args.kind != "sphere-plane" and args.plane_fraction != 0.5:
@@ -108,8 +111,7 @@ def cmd_fit(args) -> dict:
     cloud = load_cloud(args.input, header=args.header)
     record = None
     if args.normalize:
-        cloud = normalize_to_unit_cube(cloud)
-        record = cloud.normalization
+        cloud, record = normalize_to_unit_cube(cloud)
     fit = fit_map(cloud, args.degree, multiplicity_tol=args.multiplicity_tol)
     model = ModelFile.from_fit(
         fit, intersected=args.intersected, seed=args.seed, normalization=record
@@ -258,6 +260,8 @@ def _usable_cpus() -> int:
 def cmd_pipeline(args) -> dict:
     _check_generator_flags(args)
     degrees = [int(d) for d in args.degrees.split(",")]
+    if min(degrees) < 0 or len(set(degrees)) < len(degrees):
+        raise ValueError(f"--degrees must be distinct and >= 0, got {args.degrees}")
     cloud = _GENERATORS[args.kind](args.m, args.seed, args.sigma, args.plane_fraction)
     if args.reference:
         reference = load_cloud(args.reference, header=args.header)

@@ -1,4 +1,4 @@
-"""Point clouds, unit-cube normalization, noise injection, and CSV I/O."""
+"""Point clouds, unit-cube normalization, and CSV I/O."""
 
 from __future__ import annotations
 
@@ -6,19 +6,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import make_rng
-
 __all__ = [
     "CloudFormatError",
     "NormalizationRecord",
     "PointCloud",
-    "add_gaussian_noise",
     "load_cloud",
     "normalize_to_unit_cube",
     "save_cloud",
 ]
 
-# Normalized clouds may stray slightly outside [0,1] after noise injection.
+# How far outside [0,1] a cloud may stray (for example, noisy data loaded
+# from a file) before fitting refuses it rather than warning.
 CUBE_SLACK = 0.05
 
 
@@ -48,14 +46,13 @@ class NormalizationRecord:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """m points in R^n, with an optional record of how they were normalized.
+    """m points in R^n.
 
     Points with a NaN or infinite coordinate are refused (ValueError naming
     the first such row).
     """
 
     points: np.ndarray
-    normalization: NormalizationRecord | None = None
 
     def __post_init__(self) -> None:
         pts = np.array(self.points, dtype=float)
@@ -82,12 +79,13 @@ class PointCloud:
         return self.m
 
 
-def normalize_to_unit_cube(cloud: PointCloud) -> PointCloud:
+def normalize_to_unit_cube(cloud: PointCloud) -> tuple[PointCloud, NormalizationRecord]:
     """Min-max map each axis into [0, 1]; degenerate axes go to 0.5.
 
-    The affine record is attached to the result so the map can be inverted.
-    Rounding can carry an axis maximum one ulp past 1; the result is clipped
-    to [0, 1], so it lies in the cube exactly.
+    Returns the mapped cloud and the affine record, whose ``invert`` takes
+    points back to raw coordinates. Rounding can carry an axis maximum one
+    ulp past 1; the result is clipped to [0, 1], so it lies in the cube
+    exactly.
     """
     if cloud.m == 0:
         raise ValueError("cannot normalize an empty cloud")
@@ -98,37 +96,15 @@ def normalize_to_unit_cube(cloud: PointCloud) -> PointCloud:
     scale = 1.0 / np.where(degenerate, 1.0, spread)
     offset = np.where(degenerate, 0.5 - lo, -lo * scale)
     record = NormalizationRecord(scale=scale, offset=offset)
-    points = np.clip(record.apply(cloud.points), 0.0, 1.0)
-    return PointCloud(points, normalization=record)
+    return PointCloud(np.clip(record.apply(cloud.points), 0.0, 1.0)), record
 
 
-def denormalize(cloud: PointCloud) -> PointCloud:
-    """Undo a cloud's normalization record, returning raw coordinates."""
-    if cloud.normalization is None:
-        raise ValueError("cloud carries no normalization record")
-    return PointCloud(cloud.normalization.invert(cloud.points))
+def save_cloud(cloud: PointCloud, path) -> None:
+    """Write one point per row as comma-separated full-precision decimals.
 
-
-def add_gaussian_noise(cloud: PointCloud, sigma: float, seed: int) -> PointCloud:
-    """Add i.i.d. N(0, sigma^2) per coordinate, then clamp to [0, 1]."""
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
-    if sigma == 0:
-        return cloud
-    rng = make_rng(seed)
-    noisy = cloud.points + sigma * rng.standard_normal(cloud.points.shape)
-    return PointCloud(np.clip(noisy, 0.0, 1.0), normalization=cloud.normalization)
-
-
-def save_cloud(cloud: PointCloud, path, header: bool = False) -> None:
-    """Write one point per row as comma-separated full-precision decimals."""
-    lines = []
-    if header:
-        lines.append(",".join(f"x{j + 1}" for j in range(cloud.dim)))
-    for row in cloud.points:
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    An empty cloud gives an empty file, which load_cloud refuses.
+    """
+    np.savetxt(path, cloud.points, fmt="%.17g", delimiter=",")
 
 
 def load_cloud(path, header: bool = False) -> PointCloud:

@@ -79,6 +79,17 @@ def circle_quadric() -> Poly:
     )
 
 
+def _add_noise(pts: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
+    # pts plus i.i.d. N(0, sigma^2) per coordinate drawn from the generator's
+    # own stream, clipped to [0, 1]. sigma = 0 draws nothing; the clip is
+    # then a no-op, as every generator's noise-free points lie in the cube.
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    if sigma > 0:
+        pts = pts + sigma * rng.standard_normal(pts.shape)
+    return np.clip(pts, 0.0, 1.0)
+
+
 def _sphere_points(m: int, rng: np.random.Generator) -> np.ndarray:
     # Uniform on the sphere via normalized Gaussians, rejected to the cube.
     out = np.empty((0, 3))
@@ -102,7 +113,8 @@ def gen_sphere_plane(
 
     plane_fraction of the points land on the plane patch {(t, t, z)}, the
     rest uniformly on the sphere. Optional isotropic Gaussian noise is
-    added afterwards and the result clamped back into the cube.
+    added afterwards and the result clamped back into the cube; a negative
+    or non-finite noise_sigma is refused.
     """
     if not 0.0 <= plane_fraction <= 1.0:
         raise ValueError("plane_fraction must lie in [0, 1]")
@@ -112,10 +124,7 @@ def gen_sphere_plane(
     sphere = _sphere_points(m_sphere, rng)
     tz = rng.random((m_plane, 2))
     plane = np.column_stack([tz[:, 0], tz[:, 0], tz[:, 1]])
-    pts = np.vstack([sphere, plane])
-    if noise_sigma > 0.0:
-        pts = np.clip(pts + noise_sigma * rng.standard_normal(pts.shape), 0.0, 1.0)
-    return PointCloud(pts)
+    return PointCloud(_add_noise(np.vstack([sphere, plane]), noise_sigma, rng))
 
 
 def gen_sphere_plane_singular(m: int, seed: int = 0) -> PointCloud:
@@ -138,15 +147,14 @@ LINE_DIRECTION = np.array([1.0, 1.0, -1.0])
 
 
 def gen_noisy_line(m: int, sigma: float, seed: int = 0) -> PointCloud:
-    """Points near the line (0,0,1) + t(1,1,-1), t in [0,1], inside the cube."""
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    """Points near the line (0,0,1) + t(1,1,-1), t in [0,1], inside the cube.
+
+    Gaussian noise of std sigma is added and the result clamped into the
+    cube; a negative or non-finite sigma is refused.
+    """
     rng = make_rng(seed)
     t = rng.random(m)
-    pts = LINE_POINT + t[:, None] * LINE_DIRECTION
-    if sigma > 0.0:
-        pts = pts + sigma * rng.standard_normal(pts.shape)
-    return PointCloud(np.clip(pts, 0.0, 1.0))
+    return PointCloud(_add_noise(LINE_POINT + t[:, None] * LINE_DIRECTION, sigma, rng))
 
 
 def cyclooctane_residuals(p) -> np.ndarray:

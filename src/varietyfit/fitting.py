@@ -23,6 +23,7 @@ import numpy as np
 
 from .cloud import CUBE_SLACK, PointCloud
 from .polynomials import MonomialBasis, Poly, enumerate_monomials, monomials, sum_of_squares
+from .transport import EXACT_SIZE_CAP
 
 __all__ = [
     "MapFit",
@@ -46,6 +47,8 @@ def vandermonde(cloud: PointCloud, basis: MonomialBasis) -> np.ndarray:
 
     Points are expected inside [0, 1]^n; excursions up to CUBE_SLACK
     outside only warn (noise tolerance), anything further is an error.
+    A table of m x N or a Gram matrix of N x N entries over the dense
+    budget (EXACT_SIZE_CAP**2) is refused before either is allocated.
     """
     if cloud.m == 0:
         raise ValueError("cannot build a Vandermonde matrix from an empty cloud")
@@ -53,6 +56,13 @@ def vandermonde(cloud: PointCloud, basis: MonomialBasis) -> np.ndarray:
         raise ValueError(
             f"cloud dimension {cloud.dim} does not match basis n={basis.n}"
         )
+    N = len(basis)
+    for rows, what in ((cloud.m, "Vandermonde table"), (N, "Gram matrix")):
+        if rows * N > EXACT_SIZE_CAP**2:
+            raise ValueError(
+                f"a {rows} x {N} {what} (degree {basis.degree}) needs {8 * rows * N} "
+                f"bytes, over the {8 * EXACT_SIZE_CAP**2}-byte budget for one dense matrix"
+            )
     pts = cloud.points
     lo = float(pts.min())
     hi = float(pts.max())

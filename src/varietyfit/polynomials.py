@@ -280,22 +280,14 @@ def _basis_sums(pts: np.ndarray, terms, width: int) -> np.ndarray:
 def monomials(points: np.ndarray, basis: MonomialBasis) -> np.ndarray:
     """Monomial table M[i, k] = x_i^alpha_k of (m, n) points, shape (m, N).
 
-    Each variable's powers x_j^a are computed once per call as contiguous
-    vectors: x_j^0 is 1.0 and x_j^1 is x_j, exactly; powers of 2 and up
-    come from ``np.power`` with an array exponent. Row k of an (N, m)
-    buffer is then the product of the nonzero factors of alpha_k in
-    variable order, and the transposed copy is returned C-contiguous.
-    Fitting uses this table; ``Poly.evaluate`` and ``Poly.gradient``
-    stream the same monomials, computed the same way, without building it.
+    The basis-order sums of ``Poly.evaluate`` and ``Poly.gradient`` with one
+    unit coefficient per monomial, so fitting's table and every evaluation
+    share one kernel: column k is +0.0 + 1.0 * x^alpha_k, which is x^alpha_k
+    bit for bit except that a -0.0 product becomes +0.0.
     """
     pts = np.asarray(points, dtype=float)
-    powers = _powers(pts, {key for factors in basis._factors for key in factors})
-    table = np.empty((len(basis), pts.shape[0]))
-    for row, factors in zip(table, basis._factors):
-        x = _monomial(powers, factors, row)
-        if x is not row:
-            row[:] = x
-    return np.ascontiguousarray(table.T)
+    terms = tuple((factors, ((k, 1.0),)) for k, factors in enumerate(basis._factors))
+    return np.ascontiguousarray(_basis_sums(pts, terms, len(basis)).T)
 
 
 def gradient_polys(f: Poly) -> tuple[Poly, ...]:

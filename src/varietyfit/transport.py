@@ -41,6 +41,8 @@ __all__ = [
     "wasserstein_sinkhorn",
 ]
 
+# One dense float64 matrix may hold at most EXACT_SIZE_CAP**2 entries (128
+# MiB): the cost matrix here, and fitting's Vandermonde table and Gram matrix.
 EXACT_SIZE_CAP = 4096
 # wasserstein_sinkhorn's default reg, as a fraction of the median squared
 # distance between the two clouds.

@@ -321,7 +321,7 @@ def test_criterion_8_cyclooctane_or_skip():
             "cyclooctane reduced conformation dataset not supplied "
             "(set VARIETYFIT_CYCLOOCTANE)"
         )
-    cloud = normalize_to_unit_cube(load_cloud(path))
+    cloud, _ = normalize_to_unit_cube(load_cloud(path))
     assert cloud.dim == 5, "expected the 5-dimensional reduced dataset"
     fit = fit_map(cloud, 4)
     print(

@@ -143,6 +143,21 @@ def test_singular_filter_and_eta_warning(tmp_path, capsys):
     assert manifest["results"]["accepted_count"] >= 1
 
 
+def test_empty_singular_output_is_refused_by_compare(tmp_path, capsys):
+    # A filter that accepts nothing writes an empty file; a cloud with no
+    # points cannot be compared, and compare says which file it is.
+    cloud, model, sing = tmp_path / "omega.csv", tmp_path / "model.json", tmp_path / "sing.csv"
+    run("gen", "sphere-plane", "--m", 100, "--seed", 15, "-o", cloud)
+    run("fit", "-i", cloud, "-D", 3, "-o", model)
+    assert run("singular", "--model", model, "-i", cloud, "--epsilon", 1e-12, "-o", sing) == 0
+    assert sing.read_bytes() == b""
+    capsys.readouterr()
+    metrics = tmp_path / "m.json"
+    assert run("compare", "--input-a", cloud, "--input-b", sing, "-o", metrics) == 2
+    assert f"{sing}: no data rows" in capsys.readouterr().err
+    assert not metrics.exists()
+
+
 def test_compare_self_is_zero(tmp_path, capsys):
     cloud = tmp_path / "omega.csv"
     run("gen", "sphere-plane", "--m", 80, "--seed", 12, "-o", cloud)
@@ -236,6 +251,20 @@ REFUSED_INPUTS = [
                             "--outdir", "pipe"], "--reg"),
     ("pipeline-reference-2d", ["pipeline", "--m", 60, "--reference", "flat.csv", "--seed", 1,
                                "--outdir", "pipe"], "dimension 2"),
+    ("gen-m-0", ["gen", "sphere-plane", "--m", 0, "--seed", 1, "-o", "x.csv"], "--m"),
+    ("gen-sphere-plane-sigma-negative", ["gen", "sphere-plane", "--m", 40, "--sigma", -0.1,
+                                         "--seed", 1, "-o", "x.csv"], "sigma"),
+    ("gen-line-sigma-nan", ["gen", "noisy-line", "--m", 40, "--sigma", "nan", "--seed", 1,
+                            "-o", "x.csv"], "sigma"),
+    ("pipeline-m-0", ["pipeline", "--m", 0, "--seed", 1, "--outdir", "pipe"], "--m"),
+    ("pipeline-sigma-negative", ["pipeline", "--m", 60, "--sigma", -0.1, "--seed", 1,
+                                 "--outdir", "pipe"], "sigma"),
+    ("pipeline-degrees-negative", ["pipeline", "--m", 60, "--degrees", "-1", "--seed", 1,
+                                   "--outdir", "pipe"], "--degrees"),
+    ("pipeline-degrees-repeated", ["pipeline", "--m", 60, "--degrees", "1,1", "--seed", 1,
+                                   "--outdir", "pipe"], "--degrees"),
+    ("fit-degree-40", ["fit", "-i", "tiny.csv", "-D", 40, "-o", "model.json"],
+     "12341 x 12341 Gram matrix"),
 ]
 
 
@@ -246,6 +275,7 @@ def test_refused_input_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys,
     save_cloud(gen_sphere_plane(60, 0.5, seed=1), tmp_path / "a.csv")
     save_cloud(gen_sphere_plane(60, 0.5, seed=2), tmp_path / "b.csv")
     save_cloud(PointCloud(np.random.default_rng(3).random((60, 2))), tmp_path / "flat.csv")
+    save_cloud(gen_sphere_plane(25, 0.5, seed=4), tmp_path / "tiny.csv")
     before = sorted(tmp_path.iterdir())
     capsys.readouterr()
     assert run(*argv) == 2

@@ -10,13 +10,12 @@ from varietyfit.cloud import (
     CloudFormatError,
     NormalizationRecord,
     PointCloud,
-    add_gaussian_noise,
-    denormalize,
     load_cloud,
     normalize_to_unit_cube,
     save_cloud,
 )
 from varietyfit.datasets import (
+    _add_noise,
     circle_quadric,
     cyclooctane_residuals,
     gen_noisy_line,
@@ -99,6 +98,20 @@ def test_noisy_line_stays_in_cube():
         gen_noisy_line(10, -0.1, seed=0)
 
 
+@pytest.mark.parametrize("sigma", [-0.1, np.nan, np.inf])
+@pytest.mark.parametrize(
+    "gen",
+    [lambda s: gen_sphere_plane(50, 0.5, seed=1, noise_sigma=s),
+     lambda s: gen_noisy_line(50, s, seed=1)],
+    ids=["sphere-plane", "noisy-line"],
+)
+def test_generators_refuse_bad_sigma(gen, sigma):
+    # Both generators add noise through one routine, which refuses a sigma
+    # that is negative or not finite instead of writing noise-free data.
+    with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+        gen(sigma)
+
+
 # ----------------------------------------------------------------- cyclooctane
 
 
@@ -153,6 +166,29 @@ def test_csv_round_trip_exact(tmp_path):
     assert np.array_equal(cloud.points, again.points)
 
 
+def _formatted(points):
+    # The writer save_cloud had before it used np.savetxt.
+    return "\n".join(",".join(f"{v:.17g}" for v in row) for row in points) + "\n"
+
+
+def test_save_cloud_bytes_match_the_formatter(tmp_path):
+    pts = np.random.default_rng(12).random((50, 3))
+    pts[0] = [-0.0, 0.0, 1e-300]
+    pts[1] = [1.0, 2.0, -3.0]
+    pts[2] = [5e-324, 1.7976931348623157e308, 0.1]
+    path = tmp_path / "c.csv"
+    save_cloud(PointCloud(pts), path)
+    assert path.read_bytes() == _formatted(pts).encode()
+    assert path.read_bytes().startswith(b"-0,0,1e-300\n1,2,-3\n4.9406564584124654e-324,")
+    assert np.array_equal(load_cloud(path).points, pts)
+    # An empty cloud is an empty file (the formatter wrote one newline),
+    # which load_cloud refuses as it refused the newline.
+    save_cloud(PointCloud(np.empty((0, 3))), path)
+    assert path.read_bytes() == b""
+    with pytest.raises(CloudFormatError, match="no data rows"):
+        load_cloud(path)
+
+
 def test_csv_single_value(tmp_path):
     path = tmp_path / "one.csv"
     path.write_text("0.5\n")
@@ -164,7 +200,7 @@ def test_csv_single_value(tmp_path):
 def test_csv_header_flag(tmp_path):
     cloud = PointCloud(np.array([[0.25, 0.75]]))
     path = tmp_path / "h.csv"
-    save_cloud(cloud, path, header=True)
+    path.write_text("x1,x2\n0.25,0.75\n")
     assert path.read_text().splitlines()[0] == "x1,x2"
     assert np.array_equal(load_cloud(path, header=True).points, cloud.points)
 
@@ -204,24 +240,24 @@ def test_point_cloud_rejects_non_finite(bad):
 
 def test_normalize_identity_when_touching_extremes():
     pts = np.array([[0.0, 0.5], [1.0, 0.0], [0.3, 1.0]])
-    out = normalize_to_unit_cube(PointCloud(pts))
-    assert out.normalization.scale == pytest.approx([1.0, 1.0])
-    assert out.normalization.offset == pytest.approx([0.0, 0.0])
+    out, record = normalize_to_unit_cube(PointCloud(pts))
+    assert record.scale == pytest.approx([1.0, 1.0])
+    assert record.offset == pytest.approx([0.0, 0.0])
     assert np.array_equal(out.points, pts)
 
 
 def test_normalize_affine_record():
     pts = np.array([[-1.0, 2.0], [3.0, 4.0]])
-    out = normalize_to_unit_cube(PointCloud(pts))
-    assert out.normalization.scale[0] == pytest.approx(0.25)
-    assert out.normalization.offset[0] == pytest.approx(0.25)
+    out, record = normalize_to_unit_cube(PointCloud(pts))
+    assert record.scale[0] == pytest.approx(0.25)
+    assert record.offset[0] == pytest.approx(0.25)
     assert out.points.min() == 0.0 and out.points.max() == 1.0
 
 
 def test_normalize_lands_in_cube_and_fits_without_warning():
     # Without clipping, scale * max + offset rounds to 1.0000000000000002
     # on this cloud, and fit_map warns about the normalized cloud.
-    out = normalize_to_unit_cube(gen_sphere_plane(1600, 0.5, seed=7))
+    out, _ = normalize_to_unit_cube(gen_sphere_plane(1600, 0.5, seed=7))
     assert out.points.min() == 0.0 and out.points.max() == 1.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -232,37 +268,37 @@ def test_normalize_round_trip_and_degenerate_axis():
     rng = np.random.default_rng(11)
     pts = rng.standard_normal((20, 3)) * 7 + 3
     pts[:, 1] = 2.5  # degenerate axis
-    out = normalize_to_unit_cube(PointCloud(pts))
+    out, record = normalize_to_unit_cube(PointCloud(pts))
     assert np.abs(out.points[:, 1] - 0.5).max() == 0.0
-    back = denormalize(out)
-    assert np.abs(back.points - pts).max() <= 1e-12
+    back = record.invert(out.points)
+    assert np.abs(back - pts).max() <= 1e-12
     with pytest.raises(ValueError):
         normalize_to_unit_cube(PointCloud(np.empty((0, 2))))
-    with pytest.raises(ValueError):
-        denormalize(PointCloud(pts))
 
 
 # ---------------------------------------------------------------------- noise
 
 
 def test_noise_sigma_zero_is_identity():
-    cloud = PointCloud(np.full((10, 2), 0.5))
-    assert add_gaussian_noise(cloud, 0.0, seed=1) is cloud
+    pts = np.full((10, 2), 0.5)
+    rng = np.random.default_rng(1)
+    assert np.array_equal(_add_noise(pts, 0.0, rng), pts)
+    # sigma = 0 draws nothing from the generator's stream.
+    assert rng.random() == np.random.default_rng(1).random()
 
 
 def test_noise_variance_within_five_percent():
-    cloud = PointCloud(np.full((40_000, 3), 0.5))
+    pts = np.full((40_000, 3), 0.5)
     sigma = 0.01
-    noisy = add_gaussian_noise(cloud, sigma, seed=2)
-    delta = (noisy.points - cloud.points).ravel()
+    noisy = _add_noise(pts, sigma, np.random.default_rng(2))
+    delta = (noisy - pts).ravel()
     assert delta.size >= 1e5
     assert abs(delta.var() - sigma**2) <= 0.05 * sigma**2
 
 
 def test_noise_clamped_to_cube():
-    cloud = PointCloud(np.zeros((500, 2)))
-    noisy = add_gaussian_noise(cloud, 0.5, seed=3)
-    assert (noisy.points >= 0).all() and (noisy.points <= 1).all()
+    noisy = _add_noise(np.zeros((500, 2)), 0.5, np.random.default_rng(3))
+    assert (noisy >= 0).all() and (noisy <= 1).all()
 
 
 # ----------------------------------------------------------------- model file

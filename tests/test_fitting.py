@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from varietyfit import fitting
 from varietyfit.cloud import PointCloud
 from varietyfit.datasets import gen_sphere_plane, sphere_plane_polynomial
 from varietyfit.fitting import (
@@ -47,6 +48,27 @@ def test_vandermonde_warns_on_small_excursion():
     cloud = PointCloud(np.array([[1.02, 0.5], [0.5, 0.5]]))
     with pytest.warns(UserWarning):
         vandermonde(cloud, enumerate_monomials(2, 1))
+
+
+@pytest.mark.parametrize(
+    "over,under,degree,message",
+    [(58662, 58661, 10, "58662 x 286 Vandermonde table \\(degree 10\\) needs 134218656 bytes"),
+     (1, 1, 28, "4495 x 4495 Gram matrix \\(degree 28\\) needs 161640200 bytes")],
+    ids=["table", "gram"],
+)
+def test_vandermonde_refuses_dense_matrices_over_budget(monkeypatch, over, under, degree, message):
+    # One dense matrix may hold 4096^2 float64 entries, as a transport cost
+    # matrix may: a 3-d fit refuses degree 28 on any cloud and 286 monomials
+    # on 58662 points before anything is built; degree 27 (N = 4060) and
+    # 58661 points pass the check and reach the table.
+    def no_table(*args, **kwargs):
+        raise AssertionError("table built")
+
+    monkeypatch.setattr(fitting, "monomials", no_table)
+    with pytest.raises(ValueError, match=message):
+        vandermonde(PointCloud(np.zeros((over, 3))), enumerate_monomials(3, degree))
+    with pytest.raises(AssertionError, match="table built"):
+        vandermonde(PointCloud(np.zeros((under, 3))), enumerate_monomials(3, min(degree, 27)))
 
 
 def test_vandermonde_rejects_far_points_and_bad_input():
