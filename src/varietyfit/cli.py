@@ -11,11 +11,13 @@ failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -257,11 +259,27 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+@functools.cache
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The process's one executor with this many threads, made on first use."""
+    return ThreadPoolExecutor(workers, thread_name_prefix=f"varietyfit-transport-{workers}")
+
+
 def cmd_pipeline(args) -> dict:
     _check_generator_flags(args)
     degrees = [int(d) for d in args.degrees.split(",")]
     if min(degrees) < 0 or len(set(degrees)) < len(degrees):
         raise ValueError(f"--degrees must be distinct and >= 0, got {args.degrees}")
+    # Sampler and filter settings are checked here, before anything is
+    # written; each degree's sampler differs from this one by its seed only.
+    sampler = SamplerConfig(
+        seed=args.seed,
+        target_m=args.m,
+        eta=args.eta,
+        max_proposals=args.max_proposals,
+    )
+    if not args.epsilon > 0:
+        raise ValueError(f"--epsilon must be > 0, got {args.epsilon}")
     cloud = _GENERATORS[args.kind](args.m, args.seed, args.sigma, args.plane_fraction)
     if args.reference:
         reference = load_cloud(args.reference, header=args.header)
@@ -294,12 +312,7 @@ def cmd_pipeline(args) -> dict:
         fit = fit_map(cloud, degree)
         model = ModelFile.from_fit(fit, seed=args.seed)
         save_model(model, outdir / f"model_D{degree}.json")
-        cfg = SamplerConfig(
-            seed=args.seed + 1000 * degree,
-            target_m=args.m,
-            eta=args.eta,
-            max_proposals=args.max_proposals,
-        )
+        cfg = dataclasses.replace(sampler, seed=args.seed + 1000 * degree)
         f = model.poly
         resampled, stats = direct_sample(f, cfg, full_output=True)
         save_cloud(resampled, outdir / f"resampled_D{degree}.csv")
@@ -327,8 +340,17 @@ def cmd_pipeline(args) -> dict:
         plan = _compare(reference, resampled, args.reg)
         return {"wasserstein": plan.cost} | _transport_diagnostics(plan)
 
-    with ThreadPoolExecutor(workers) as pool:
-        transports = list(pool.map(transport, resamples))
+    # The pool lives as long as the process. Once glibc's mmap threshold has
+    # grown past a freed cost matrix, later ones come from the threads'
+    # malloc arenas, which keep freed pages resident; a pool per run starts
+    # fresh threads on fresh arenas, and repeated in-process sweeps at
+    # m = 1600 could then hold an extra 20 MB matrix or two. Every future
+    # is waited for, and the first error in degree order raised, before
+    # the run ends.
+    pool = _pool(workers)
+    futures = [pool.submit(transport, resampled) for resampled in resamples]
+    wait(futures)
+    transports = [future.result() for future in futures]
     for row, result in zip(rows, transports):
         row.update(result)
         print(

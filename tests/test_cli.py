@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -263,6 +264,12 @@ REFUSED_INPUTS = [
                                    "--outdir", "pipe"], "--degrees"),
     ("pipeline-degrees-repeated", ["pipeline", "--m", 60, "--degrees", "1,1", "--seed", 1,
                                    "--outdir", "pipe"], "--degrees"),
+    ("pipeline-eta-0", ["pipeline", "--m", 60, "--eta", 0, "--seed", 1, "--outdir", "pipe"],
+     "eta"),
+    ("pipeline-epsilon-0", ["pipeline", "--m", 60, "--epsilon", 0, "--degrees", 1,
+                            "--seed", 1, "--outdir", "pipe"], "--epsilon"),
+    ("pipeline-max-proposals-below-m", ["pipeline", "--m", 60, "--max-proposals", 10,
+                                        "--seed", 1, "--outdir", "pipe"], "max_proposals"),
     ("fit-degree-40", ["fit", "-i", "tiny.csv", "-D", 40, "-o", "model.json"],
      "12341 x 12341 Gram matrix"),
 ]
@@ -414,6 +421,32 @@ def test_pipeline_distances_equal_one_degree_at_a_time(tmp_path, monkeypatch, cp
     assert lines == expected
 
 
+def _record_transport_threads(monkeypatch, name, parties):
+    """Wrap cli.<name> to record the thread of each call and the most calls
+    that ran at once. With parties > 1 every call waits until that many are
+    running, so fewer threads fail the wait instead of passing by chance."""
+    solve = getattr(cli, name)
+    lock = threading.Lock()
+    barrier = threading.Barrier(parties, timeout=30) if parties > 1 else None
+    threads, running, peak = [], [0], [0]
+
+    def wrapped(*args, **kwargs):
+        with lock:
+            threads.append(threading.current_thread())
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+        try:
+            if barrier is not None:
+                barrier.wait()
+            return solve(*args, **kwargs)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(cli, name, wrapped)
+    return threads, peak
+
+
 @pytest.mark.parametrize("method, workers", [("exact", 3), ("sinkhorn", 1)])
 def test_pipeline_runs_only_exact_transports_concurrently(
     tmp_path, monkeypatch, method, workers
@@ -427,20 +460,37 @@ def test_pipeline_runs_only_exact_transports_concurrently(
         save_cloud(gen_sphere_plane(150, 0.5, seed=20), tmp_path / "ref.csv")
         extra = ["--reference", tmp_path / "ref.csv", "--reg", 0.005]
     pools = []
+    pool = cli._pool
 
-    class Pool(cli.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
+    def recorded_pool(n):
+        pools.append(n)
+        return pool(n)
 
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(cli, "_pool", recorded_pool)
+    name = {"exact": "wasserstein_exact", "sinkhorn": "wasserstein_sinkhorn"}[method]
+    threads, peak = _record_transport_threads(monkeypatch, name, workers)
     assert run("pipeline", "--m", 120, "--seed", 20, "--degrees", "1,2,3", *extra,
                "--outdir", tmp_path / "pipe") == 0
     assert pools == [workers]
+    assert len(threads) == 3 and len(set(threads)) == peak[0] == workers
+    assert threading.current_thread() not in threads
     table = json.loads((tmp_path / "pipe" / "manifest.json").read_text())["results"]["table"]
     solver = {"exact": "exact-assignment", "sinkhorn": "sinkhorn"}[method]
     assert [row["method"] for row in table] == [solver] * 3
+
+
+def test_second_pipeline_run_starts_no_threads(tmp_path, monkeypatch):
+    # The transport pool lives as long as the process: a second sweep runs
+    # its three concurrent exact solves on the first sweep's threads.
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    threads, _ = _record_transport_threads(monkeypatch, "wasserstein_exact", 3)
+    argv = ["pipeline", "--m", 80, "--seed", 21, "--degrees", "1,2,3", "--outdir"]
+    assert run(*argv, tmp_path / "first") == 0
+    before = set(threading.enumerate())
+    assert run(*argv, tmp_path / "second") == 0
+    assert set(threading.enumerate()) <= before
+    assert set(threads[3:]) == set(threads[:3]) and len(set(threads)) == 3
 
 
 def test_pipeline_transport_error_exits_2_without_manifest(tmp_path, monkeypatch, capsys):

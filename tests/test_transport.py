@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -435,6 +436,151 @@ def test_exact_coupling_equals_dense_construction():
     assert np.array_equal(plan.coupling, dense)
     with pytest.raises(ValueError):
         plan.coupling[0] = 0
+
+
+WARM_START_KINDS = ["uniform", "duplicated", "translate", "collinear", "offset-1e6"]
+
+
+def _warm_start_clouds(kind: str, m: int, dim: int, seed: int):
+    rng = np.random.default_rng(seed)
+    a = rng.random((m, dim))
+    if kind == "uniform":
+        b = rng.random((m, dim))
+    elif kind == "duplicated":
+        # Points on a 3-per-axis grid, so both clouds repeat points.
+        a = rng.integers(0, 3, (m, dim)) / 2.0
+        b = rng.integers(0, 3, (m, dim)) / 2.0
+    elif kind == "translate":
+        b = a + rng.random(dim)
+    elif kind == "collinear":
+        direction = rng.normal(size=dim)
+        a = rng.random(m)[:, None] * direction
+        b = 0.3 + rng.random(m)[:, None] * direction
+    else:
+        b = rng.random((m, dim)) + 1e6
+    return PointCloud(a), PointCloud(b)
+
+
+def _second_best_gap(C: np.ndarray, cols: np.ndarray) -> float:
+    """Cost of the cheapest assignment other than i -> cols[i], minus that
+    assignment's cost; inf when it is the only assignment. Each candidate
+    forbids one of its pairs (Murty 1968)."""
+    m = len(cols)
+    best, second = C[np.arange(m), cols].sum(), np.inf
+    for i in range(m):
+        forbidden = C.copy()
+        forbidden[i, cols[i]] = np.inf
+        try:
+            r, c = linear_sum_assignment(forbidden)
+        except ValueError:  # m == 1: no other assignment
+            continue
+        second = min(second, forbidden[r, c].sum())
+    return second - best
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(WARM_START_KINDS),
+    m=st.integers(1, 40),
+    dim=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_warm_started_assignment_is_exact(kind, m, dim, seed):
+    a, b = _warm_start_clouds(kind, m, dim, seed)
+    plan = wasserstein_exact(a, b)
+    # The coupling is a permutation matrix divided by m.
+    rows, cols = np.nonzero(plan.coupling)
+    assert np.array_equal(rows, np.arange(m))
+    assert np.array_equal(np.sort(cols), np.arange(m))
+    assert np.all(plan.coupling[rows, cols] == 1.0 / m)
+    # The cost is the unwarmed solver's on the raw matrix: bit-identical
+    # where its assignment is unique, and within 1e-12 where another
+    # assignment costs (nearly) as much.
+    C = cdist(a.points, b.points, metric="sqeuclidean")
+    raw_rows, raw_cols = linear_sum_assignment(C)
+    expected = float(np.sqrt(np.mean(C[raw_rows, raw_cols])))
+    if _second_best_gap(C, raw_cols) > 1e-9 * C[raw_rows, raw_cols].sum():
+        assert np.array_equal(cols, raw_cols)
+        assert plan.cost == expected
+    else:
+        assert abs(plan.cost - expected) <= 1e-12 * expected
+
+
+def _spy_on_assignment(monkeypatch) -> list:
+    """Record a copy of every matrix transport passes to the assignment solver."""
+    seen = []
+
+    def spy(C):
+        seen.append(np.array(C))
+        return linear_sum_assignment(C)
+
+    monkeypatch.setattr(transport, "linear_sum_assignment", spy)
+    return seen
+
+
+def test_warm_start_shifts_the_solved_matrix(monkeypatch):
+    rng = np.random.default_rng(18)
+    a, b = PointCloud(rng.random((200, 3))), PointCloud(rng.random((200, 3)))
+    seen = _spy_on_assignment(monkeypatch)
+    plan = wasserstein_exact(a, b)
+    C = cdist(a.points, b.points, metric="sqeuclidean")
+    rows, cols = linear_sum_assignment(C)
+    assert plan.cost == float(np.sqrt(np.mean(C[rows, cols])))
+    # The solver saw C - f - g, not C: the rows' and columns' differences
+    # from C are constant (up to rounding), and not all zero.
+    shift = C - seen[0]
+    g = shift[0] - shift[0, 0]
+    f = shift[:, 0]
+    assert np.abs(shift - f[:, None] - g[None, :]).max() <= 1e-12
+    assert np.abs(shift).max() > 0
+
+
+@pytest.mark.parametrize(
+    "points",
+    [np.array([[0.2, 0.7]]), np.full((5, 2), 0.5)],
+    ids=["m-1", "one-point"],
+)
+def test_warm_start_skipped_when_reduced_costs_vanish(monkeypatch, points):
+    # Every reduced cost is zero, so eps = 0 and the solver gets the raw
+    # matrix; a cloud at one point against itself costs exactly 0.
+    a = PointCloud(points)
+    seen = _spy_on_assignment(monkeypatch)
+    plan = wasserstein_exact(a, a)
+    assert plan.cost == 0.0
+    assert np.array_equal(seen[0], cdist(a.points, a.points, metric="sqeuclidean"))
+    assert np.array_equal(plan.coupling.sum(axis=0), np.full(a.m, 1.0 / a.m))
+
+
+def test_non_finite_warm_start_duals_fall_back_to_raw_matrix(monkeypatch):
+    # eps = inf makes eps * log(u) infinite; the duals fall back to zeros,
+    # so the solver gets the raw matrix and the cost is unchanged.
+    rng = np.random.default_rng(20)
+    a, b = PointCloud(rng.random((50, 2))), PointCloud(rng.random((50, 2)))
+    warm = wasserstein_exact(a, b)
+    monkeypatch.setattr(transport, "WARM_START_EPS_FRACTION", np.inf)
+    seen = _spy_on_assignment(monkeypatch)
+    cold = wasserstein_exact(a, b)
+    C = cdist(a.points, b.points, metric="sqeuclidean")
+    assert np.array_equal(seen[0], C)
+    assert cold.cost == warm.cost
+    assert np.array_equal(cold.coupling, warm.coupling)
+
+
+def test_exact_holds_one_dense_matrix_at_a_time():
+    # The warm start, the solve and the cost all reuse the cost matrix's
+    # buffer, which is freed before the coupling is built.
+    m = 400
+    rng = np.random.default_rng(21)
+    a, b = PointCloud(rng.random((m, 3))), PointCloud(rng.random((m, 3)))
+    wasserstein_exact(a, b)
+    tracemalloc.start()
+    try:
+        plan = wasserstein_exact(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plan.coupling.nbytes == 8 * m * m
+    assert peak <= 1.05 * 8 * m * m
 
 
 def test_sinkhorn_default_reg_is_median_fraction():
