@@ -15,6 +15,7 @@ would be preferred if N grew large.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -139,7 +140,13 @@ def fit_map(
     that band of the minimum are merged into the returned eigenspace.
     Exactly zero multiplicity cannot be detected in floating point, so the
     band stands in for the exact eigenspace of the smallest eigenvalue.
+    A given tolerance must be finite and >= 0: an infinite or NaN one
+    would merge the whole basis into the kernel.
     """
+    if multiplicity_tol is not None and not (
+        math.isfinite(multiplicity_tol) and multiplicity_tol >= 0
+    ):
+        raise ValueError(f"multiplicity_tol must be finite and >= 0, got {multiplicity_tol}")
     basis = enumerate_monomials(cloud.dim, degree)
     U = vandermonde(cloud, basis)
     G = U.T @ U
@@ -208,8 +215,10 @@ def rationalize(
     max_denominator. If any approximation misses its float value by more
     than value_tol the coefficients are not credibly rational at this
     denominator cap and a RationalizationError is raised instead of
-    inventing precision.
+    inventing precision. drop_tol must be >= 0 (not NaN).
     """
+    if not drop_tol >= 0:
+        raise ValueError(f"drop_tol must be >= 0, got {drop_tol}")
     if not f.is_normalized:
         raise ValueError("rationalize expects a unit-norm polynomial")
     peak = float(np.max(np.abs(f.coeffs)))

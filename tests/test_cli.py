@@ -11,7 +11,7 @@ from varietyfit.cli import main
 from varietyfit.cloud import PointCloud, load_cloud, save_cloud
 from varietyfit.datasets import gen_sphere_plane
 from varietyfit.fitting import fit_map, map_polynomial
-from varietyfit.modelio import load_model
+from varietyfit.modelio import ModelFile, load_model, save_model
 from varietyfit.sampling import SamplerConfig, direct_sample
 from varietyfit.singular import singularity_filter
 from varietyfit.transport import wasserstein_exact, wasserstein_sinkhorn
@@ -272,6 +272,17 @@ REFUSED_INPUTS = [
                                         "--seed", 1, "--outdir", "pipe"], "max_proposals"),
     ("fit-degree-40", ["fit", "-i", "tiny.csv", "-D", 40, "-o", "model.json"],
      "12341 x 12341 Gram matrix"),
+    # A NaN or infinite band merges the whole basis into the kernel.
+    ("fit-multiplicity-tol-nan", ["fit", "-i", "a.csv", "-D", 2, "--multiplicity-tol", "nan",
+                                  "-o", "model.json"], "multiplicity_tol"),
+    ("fit-multiplicity-tol-inf", ["fit", "-i", "a.csv", "-D", 2, "--multiplicity-tol", "inf",
+                                  "-o", "model.json"], "multiplicity_tol"),
+    ("fit-multiplicity-tol-negative", ["fit", "-i", "a.csv", "-D", 2, "--multiplicity-tol", -1,
+                                       "-o", "model.json"], "multiplicity_tol"),
+    ("export-algebra-drop-tol-negative", ["export-algebra", "--model", "sphere.json",
+                                          "--drop-tol", -1, "-o", "x.sing"], "drop_tol"),
+    ("export-algebra-drop-tol-nan", ["export-algebra", "--model", "sphere.json",
+                                     "--drop-tol", "nan", "-o", "x.sing"], "drop_tol"),
 ]
 
 
@@ -283,6 +294,8 @@ def test_refused_input_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys,
     save_cloud(gen_sphere_plane(60, 0.5, seed=2), tmp_path / "b.csv")
     save_cloud(PointCloud(np.random.default_rng(3).random((60, 2))), tmp_path / "flat.csv")
     save_cloud(gen_sphere_plane(25, 0.5, seed=4), tmp_path / "tiny.csv")
+    save_model(ModelFile.from_fit(fit_map(gen_sphere_plane(300, 0.5, seed=15), 3)),
+               tmp_path / "sphere.json")
     before = sorted(tmp_path.iterdir())
     capsys.readouterr()
     assert run(*argv) == 2

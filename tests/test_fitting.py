@@ -134,6 +134,16 @@ def test_fit_diagonal_line_recovers_plane():
     assert f.coeffs == pytest.approx([s, -s, 0.0], abs=1e-10)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_fit_refuses_bad_multiplicity_tol(tol):
+    # NaN or inf would merge the whole D = 2 basis (10 monomials) into the
+    # kernel; a negative band would merge nothing, not even the minimum.
+    cloud = gen_sphere_plane(200, 0.5, seed=1)
+    with pytest.raises(ValueError, match="multiplicity_tol"):
+        fit_map(cloud, 2, multiplicity_tol=tol)
+    assert fit_map(cloud, 2, multiplicity_tol=0.0).kernel_dim == 1
+
+
 def test_fit_single_point_kernel_dim_two():
     fit = fit_map(PointCloud(np.array([[0.3, 0.4]])), 1)
     assert fit.kernel_dim == 2
@@ -335,6 +345,14 @@ def test_rationalize_drops_tiny_entries():
     f = Poly(enumerate_monomials(2, 1), c / np.linalg.norm(c))
     r = rationalize(f, drop_tol=1e-6)
     assert r.coeffs[2] == 0
+
+
+@pytest.mark.parametrize("drop_tol", [-1.0, float("nan")])
+def test_rationalize_refuses_bad_drop_tol(drop_tol):
+    # Both would silently drop nothing.
+    f = Poly(enumerate_monomials(2, 1), [1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="drop_tol"):
+        rationalize(f, drop_tol=drop_tol)
 
 
 def test_rationalize_rejects_irrational_and_unnormalized():

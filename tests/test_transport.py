@@ -11,6 +11,9 @@ from scipy.spatial.distance import cdist
 
 from varietyfit import transport
 from varietyfit.cloud import PointCloud
+from varietyfit.datasets import gen_sphere_plane
+from varietyfit.fitting import fit_map
+from varietyfit.sampling import SamplerConfig, direct_sample
 from varietyfit.transport import (
     EXACT_SIZE_CAP,
     TransportPlan,
@@ -438,7 +441,7 @@ def test_exact_coupling_equals_dense_construction():
         plan.coupling[0] = 0
 
 
-WARM_START_KINDS = ["uniform", "duplicated", "translate", "collinear", "offset-1e6"]
+WARM_START_KINDS = ["uniform", "duplicated", "translate", "collinear", "offset-1e6", "corner"]
 
 
 def _warm_start_clouds(kind: str, m: int, dim: int, seed: int):
@@ -456,6 +459,11 @@ def _warm_start_clouds(kind: str, m: int, dim: int, seed: int):
         direction = rng.normal(size=dim)
         a = rng.random(m)[:, None] * direction
         b = 0.3 + rng.random(m)[:, None] * direction
+    elif kind == "corner":
+        # b squeezed into a corner of a's box: the warm start's plain
+        # Sinkhorn scalings would span about 40 decades, past float32's
+        # range, so the sweeps fold them into the kernel as they go.
+        b = 0.05 * rng.random((m, dim))
     else:
         b = rng.random((m, dim)) + 1e6
     return PointCloud(a), PointCloud(b)
@@ -564,6 +572,58 @@ def test_non_finite_warm_start_duals_fall_back_to_raw_matrix(monkeypatch):
     assert np.array_equal(seen[0], C)
     assert cold.cost == warm.cost
     assert np.array_equal(cold.coupling, warm.coupling)
+
+
+def _spy_on_absorb(monkeypatch) -> list:
+    """Record the scalings of every fold into the warm start's kernel, and
+    the kernel's smallest entry before and after the fold."""
+    folds = []
+    absorb = transport._absorb
+
+    def spy(K, u, v, blocks):
+        before = K.min()
+        absorb(K, u, v, blocks)
+        folds.append((u.copy(), v.copy(), before, K.min()))
+
+    monkeypatch.setattr(transport, "_absorb", spy)
+    return folds
+
+
+def _assert_warm_start_duals(a: PointCloud, b: PointCloud) -> None:
+    """The warm start's duals are finite and not the zero fallback."""
+    f, g = transport._warm_start_duals(cdist(a.points, b.points, metric="sqeuclidean"))
+    assert np.isfinite(f).all() and np.isfinite(g).all()
+    assert np.any(f != 0) and np.any(g != 0)
+
+
+def test_warm_start_folds_wide_scalings_into_the_kernel(monkeypatch):
+    # A cloud in a corner of the other's box: the scalings leave
+    # [1 / ABSORB_BOUND, ABSORB_BOUND] and are folded into the kernel, and
+    # the duals still come out finite rather than as the zero fallback.
+    a, b = _warm_start_clouds("corner", 40, 3, 22)
+    folds = _spy_on_absorb(monkeypatch)
+    _assert_warm_start_duals(a, b)
+    assert folds
+    # Kernel entries times a scaling in [1 / ABSORB_BOUND, ABSORB_BOUND]
+    # stay normal float32s, before and after every fold.
+    normal = transport.ABSORB_BOUND * np.finfo(np.float32).tiny
+    for u, v, low_before, low_after in folds:
+        assert u.dtype == v.dtype == np.float32
+        assert max(u.max(), v.max(), 1 / u.min(), 1 / v.min()) > transport.ABSORB_BOUND
+        assert min(low_before, low_after) >= normal
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_pipeline_pair_gets_finite_warm_start_duals(monkeypatch, seed):
+    # The pipeline's m = 1600, D = 2 pair: the data, and the D = 2 fit's
+    # resample drawn at the pipeline's seed for that degree. Plain sweeps
+    # take its scalings to 1e-11 and 7e9 at seed 7.
+    data = gen_sphere_plane(1600, 0.5, seed=seed)
+    f2 = fit_map(data, 2).kernel_basis[0]
+    resample = direct_sample(f2, SamplerConfig(seed=seed + 2000, target_m=1600))
+    folds = _spy_on_absorb(monkeypatch)
+    _assert_warm_start_duals(data, resample)
+    assert folds
 
 
 def test_exact_holds_one_dense_matrix_at_a_time():
