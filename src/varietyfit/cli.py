@@ -41,6 +41,10 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
+# At this acceptance rate or above, at least half the proposals pass: the
+# band covers half the cube, and a resample is mostly uniform proposals.
+BAND_SWALLOW_RATE = 0.5
+
 
 class _NotConverged(RuntimeError):
     """An iterative solver stopped at its budget without converging."""
@@ -142,6 +146,16 @@ def _band_quantiles(values: np.ndarray, gradient_norms: np.ndarray) -> dict:
     return {p: float(v) for p, v in zip([50, 90, 99], q)}
 
 
+def _warn_if_band_swallows(stats: dict, label: str) -> None:
+    rate = stats["acceptance_rate"]
+    if rate >= BAND_SWALLOW_RATE:
+        print(
+            f"warning: {label}acceptance rate {rate:.3g} >= {BAND_SWALLOW_RATE}; "
+            "the sample is mostly uniform proposals, not points near the zero set",
+            file=sys.stderr,
+        )
+
+
 def cmd_sample(args) -> dict:
     model = load_model(args.model)
     f = model.poly
@@ -161,6 +175,7 @@ def cmd_sample(args) -> dict:
         f"wrote {cloud.m} points to {args.output} "
         f"(acceptance rate {stats['acceptance_rate']:.3g})"
     )
+    _warn_if_band_swallows(stats, "")
     norms = np.linalg.norm(f.gradient(cloud.points), axis=1)
     return stats | {"band_distance_quantiles": _band_quantiles(f.evaluate(cloud.points), norms)}
 
@@ -278,8 +293,8 @@ def cmd_pipeline(args) -> dict:
         eta=args.eta,
         max_proposals=args.max_proposals,
     )
-    if not args.epsilon > 0:
-        raise ValueError(f"--epsilon must be > 0, got {args.epsilon}")
+    if not (np.isfinite(args.epsilon) and args.epsilon > 0):
+        raise ValueError(f"--epsilon must be finite and > 0, got {args.epsilon}")
     cloud = _GENERATORS[args.kind](args.m, args.seed, args.sigma, args.plane_fraction)
     if args.reference:
         reference = load_cloud(args.reference, header=args.header)
@@ -315,6 +330,7 @@ def cmd_pipeline(args) -> dict:
         cfg = dataclasses.replace(sampler, seed=args.seed + 1000 * degree)
         f = model.poly
         resampled, stats = direct_sample(f, cfg, full_output=True)
+        _warn_if_band_swallows(stats, f"D={degree}: ")
         save_cloud(resampled, outdir / f"resampled_D{degree}.csv")
         report = singularity_filter(f, resampled, args.epsilon)
         if report.accepted_count:
@@ -328,6 +344,7 @@ def cmd_pipeline(args) -> dict:
                 "wasserstein": None,
                 "singular_count": report.accepted_count,
                 "acceptance_rate": stats["acceptance_rate"],
+                "exact_evaluations": stats["exact_evaluations"],
                 "band_distance_quantiles": _band_quantiles(
                     f.evaluate(resampled.points), report.gradient_norms
                 ),

@@ -8,6 +8,16 @@ Fixing the order makes coefficient vectors, eigenvectors, and serialized
 models reproducible across runs.
 
 All types are immutable after construction and all operations are pure.
+
+Two kernels evaluate a polynomial. ``Poly.evaluate`` forms every monomial
+from ``np.power`` factors and adds ``c_k * x^alpha_k`` in basis order; its
+bits define every seeded fit, sample and filter. A private nested Horner
+form (``Poly._horner``) evaluates the same polynomial with about two
+elementwise in-place ufunc calls per term on preallocated buffers, with no
+``np.power`` and no BLAS, and carries a proven bound on how far its value
+can be from ``Poly.evaluate``'s on [0,1]^n. The direct sampler uses it only
+to reject proposals whose value is provably outside the band; the values
+it keeps still come from ``Poly.evaluate``.
 """
 
 from __future__ import annotations
@@ -197,6 +207,10 @@ class Poly:
         return _nonzero_terms(self.basis, [self.coeffs])
 
     @cached_property
+    def _horner(self) -> "_Horner":
+        return _Horner(self.basis, self.coeffs)
+
+    @cached_property
     def _gradient_terms(self) -> tuple:
         return _nonzero_terms(self.basis, self._partials)
 
@@ -212,6 +226,104 @@ class Poly:
         out = _basis_sums(pts, self._gradient_terms, self.n)
         out = np.ascontiguousarray(out.T)
         return out[0] if single else out
+
+
+class _Horner:
+    """Nested Horner form of a polynomial, with its distance to ``evaluate``.
+
+    f is written as a polynomial in x_1 whose coefficients are polynomials
+    in x_2, and so on down to constants; each level runs Horner's rule,
+    acc = acc * x_j + q_i, skipping the additions of absent q_i. ``bind``
+    turns that into a list of elementwise in-place ufunc calls on one
+    (n, b) column buffer and n preallocated registers.
+
+    ``bound`` is a B with |horner(x) - evaluate(x)| <= B on [0,1]^n, where
+    |x^alpha| <= 1. Write u = 2^-53 and gamma_k = k u / (1 - k u), with N
+    the basis length, D its degree and S = sum |c_k|. Every rounded
+    operation is x o y times (1 + delta), |delta| <= u, so a computed sum
+    of terms is sum c_k x^alpha_k (1 + theta_k), where |theta_k| <= gamma_j
+    when term k passes through j rounded operations.
+
+      * Horner: at a level where the term's exponent is a, it is added
+        once and then multiplied and added at most a times each: 2a + 1
+        operations per level, at most 2D + n in all. So
+        |horner - f| <= gamma_(2D+n) S.
+      * ``evaluate``: each of a monomial's at most n factors comes from
+        ``np.power``, taken to be within 4 ulp (8u; measured below 0.65
+        ulp for numpy 2.4 on AVX-512), which counts as 8 operations. Then
+        come at most n - 1 products, one coefficient product and at most N
+        additions. So |evaluate - f| <= gamma_(9n+N) S.
+
+    Together |horner - evaluate| <= gamma_(N+10n+2D) S, below
+    1.02 u (N + 10n + 2D) S. B = 2^-40 (N + 11n + 2D + 1) S is more than
+    2^12 times that, which also covers the rounding of S and B
+    themselves. The model assumes neither overflow nor underflow: with
+    2^-900 <= S <= 2^900 every intermediate stays below 2^901, and an
+    underflowing operation adds an absolute error of at most 2^-1075,
+    which later products scale by at most max(1, S): far below B. Outside
+    that range, or for a non-finite coefficient, B is inf and proves
+    nothing.
+    """
+
+    def __init__(self, basis: MonomialBasis, coeffs: np.ndarray) -> None:
+        self.n = basis.n
+        terms = [(alpha, float(c)) for alpha, c in zip(basis.exponents, coeffs) if c != 0.0]
+        self._steps: list[tuple] = []
+        self._constant = self._compile(0, terms, 0)
+        scale = float(np.abs(coeffs).sum())
+        size = len(basis) + 11 * basis.n + 2 * basis.degree + 1
+        in_range = 2.0**-900 <= scale <= 2.0**900
+        self.bound = 2.0**-40 * size * scale if in_range else math.inf
+
+    def _compile(self, j: int, terms, dst: int):
+        # Appends the steps that leave sum c * x^alpha over `terms` in
+        # register dst and returns None, or returns the value itself when
+        # no variable from x_j on appears. Register j + 1 holds a level-j
+        # coefficient q_i while it is computed; dst is at most j.
+        while j < self.n and not any(alpha[j] for alpha, _ in terms):
+            j += 1
+        if j == self.n:
+            return terms[0][1] if terms else 0.0
+        groups: dict[int, list] = {}
+        for alpha, c in terms:
+            groups.setdefault(alpha[j], []).append((alpha, c))
+        x, acc = ("x", j), ("r", dst)
+        top = max(groups)
+        lead = self._compile(j + 1, groups[top], dst)
+        if lead is None:
+            self._steps.append((np.multiply, acc, x, acc))
+        else:
+            self._steps.append((np.multiply, x, lead, acc))
+        for i in range(top - 1, -1, -1):
+            if i in groups:
+                q = self._compile(j + 1, groups[i], j + 1)
+                self._steps.append((np.add, acc, ("r", j + 1) if q is None else q, acc))
+            if i:
+                self._steps.append((np.multiply, acc, x, acc))
+        return None
+
+    def bind(self, cols: np.ndarray):
+        """A function returning f at the current (n, b) contents of cols.
+
+        The returned (b,) array is a register the next call overwrites.
+        """
+        regs = np.empty((self.n, cols.shape[1]))
+
+        def resolve(ref):
+            if isinstance(ref, float):
+                return ref
+            return (cols if ref[0] == "x" else regs)[ref[1]]
+
+        steps = [(ufunc, resolve(a), resolve(b), resolve(out)) for ufunc, a, b, out in self._steps]
+        if self._constant is not None:
+            regs[0].fill(self._constant)
+
+        def run() -> np.ndarray:
+            for ufunc, a, b, out in steps:
+                ufunc(a, b, out)
+            return regs[0]
+
+        return run
 
 
 def _powers(points, keys) -> dict[tuple[int, int], np.ndarray]:

@@ -45,8 +45,8 @@ def singularity_filter(
 
     Accepted points preserve input order. Pure function of its inputs.
     """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be > 0")
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     if cloud.dim != f.basis.n:
         raise ValueError(
             f"cloud dimension {cloud.dim} does not match polynomial n={f.basis.n}"

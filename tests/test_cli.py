@@ -114,6 +114,38 @@ def test_sample_and_postcondition(tmp_path):
     assert [band[k] for k in ("50", "90", "99")] == expected.tolist()
 
 
+def test_sample_warns_when_the_band_swallows_the_cube(tmp_path, capsys):
+    cloud, model = tmp_path / "omega.csv", tmp_path / "model.json"
+    run("gen", "sphere-plane", "--m", 200, "--seed", 6, "-o", cloud)
+    run("fit", "-i", cloud, "-D", 3, "-o", model)
+    capsys.readouterr()
+    assert run("sample", "--model", model, "--m", 100, "--eta", 0.001, "--seed", 7,
+               "-o", tmp_path / "thin.csv") == 0
+    assert "warning" not in capsys.readouterr().err
+    # eta = 0.05 keeps more than half of the proposals of this fit
+    assert run("sample", "--model", model, "--m", 100, "--eta", 0.05, "--seed", 7,
+               "-o", tmp_path / "thick.csv") == 0
+    err = capsys.readouterr().err
+    manifest = json.loads((tmp_path / "thick.csv.manifest.json").read_text())
+    rate = manifest["results"]["acceptance_rate"]
+    assert rate >= cli.BAND_SWALLOW_RATE
+    assert f"warning: acceptance rate {rate:.3g} >= 0.5" in err
+    # the proposals that reached the exact evaluation: all but the screened
+    assert 100 <= manifest["results"]["exact_evaluations"] <= 8192
+
+
+def test_pipeline_warns_per_degree_when_the_band_swallows_the_cube(tmp_path, capsys):
+    assert run("pipeline", "--m", 60, "--degrees", "1,3", "--eta", 0.05, "--seed", 1,
+               "--outdir", tmp_path / "pipe") == 0
+    err = capsys.readouterr().err
+    table = json.loads((tmp_path / "pipe" / "manifest.json").read_text())["results"]["table"]
+    for row in table:
+        warned = f"warning: D={row['D']}: acceptance rate" in err
+        assert warned == (row["acceptance_rate"] >= cli.BAND_SWALLOW_RATE)
+        assert 60 <= row["exact_evaluations"]
+    assert "D=3: acceptance rate" in err
+
+
 def test_sample_budget_exhaustion_exit_code(tmp_path):
     cloud = tmp_path / "omega.csv"
     model = tmp_path / "model.json"
@@ -268,6 +300,16 @@ REFUSED_INPUTS = [
      "eta"),
     ("pipeline-epsilon-0", ["pipeline", "--m", 60, "--epsilon", 0, "--degrees", 1,
                             "--seed", 1, "--outdir", "pipe"], "--epsilon"),
+    # A non-finite band or threshold accepts everything; the sampler's
+    # screen also needs a finite eta.
+    ("sample-eta-inf", ["sample", "--model", "sphere.json", "--m", 10, "--eta", "inf",
+                        "--seed", 1, "-o", "x.csv"], "eta"),
+    ("singular-epsilon-inf", ["singular", "--model", "sphere.json", "-i", "a.csv",
+                              "--epsilon", "inf", "-o", "x.csv"], "epsilon"),
+    ("pipeline-eta-inf", ["pipeline", "--m", 60, "--eta", "inf", "--seed", 1,
+                          "--outdir", "pipe"], "eta"),
+    ("pipeline-epsilon-inf", ["pipeline", "--m", 60, "--epsilon", "inf", "--degrees", 1,
+                              "--seed", 1, "--outdir", "pipe"], "--epsilon"),
     ("pipeline-max-proposals-below-m", ["pipeline", "--m", 60, "--max-proposals", 10,
                                         "--seed", 1, "--outdir", "pipe"], "max_proposals"),
     ("fit-degree-40", ["fit", "-i", "tiny.csv", "-D", 40, "-o", "model.json"],

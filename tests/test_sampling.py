@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from varietyfit import polynomials, sampling
@@ -18,11 +22,61 @@ XMY = Poly.from_terms(2, 1, {(1, 0): 1.0, (0, 1): -1.0})
 ZERO = Poly(enumerate_monomials(2, 1), np.zeros(3))
 
 
+def reference_direct_sample(f, cfg):
+    """The direct sampler with neither screen nor batches.
+
+    Every proposal's exact value, block by block, as the sampler did before
+    it screened. Returns (points, stats) on success and ("budget", partial
+    points, proposals) when the budget runs out.
+    """
+    n = f.basis.n
+    rng = make_rng(cfg.seed)
+    chunks, collected, used, finish = [], 0, 0, None
+    while used < cfg.budget and collected < cfg.target_m:
+        b = min(8192, cfg.budget - used)
+        pts = rng.random((b, n + 1))[:, :n]
+        mask = np.abs(f.evaluate(pts)) < cfg.eta
+        hits = pts[mask]
+        if collected < cfg.target_m <= collected + hits.shape[0]:
+            finish = used + int(np.flatnonzero(mask)[cfg.target_m - collected - 1]) + 1
+        chunks.append(hits)
+        collected += hits.shape[0]
+        used += b
+    points = np.vstack(chunks)[: cfg.target_m]
+    if collected < cfg.target_m:
+        return "budget", points.tobytes(), used
+    return points.tobytes(), {
+        "proposals": finish,
+        "accepted": cfg.target_m,
+        "acceptance_rate": cfg.target_m / finish,
+    }
+
+
+def screened_direct_sample(f, cfg):
+    """direct_sample's result in reference_direct_sample's form.
+
+    exact_evaluations is checked against the proposals drawn, then
+    dropped: the reference evaluates every proposal.
+    """
+    try:
+        cloud, info = direct_sample(f, cfg, full_output=True)
+    except ProposalBudgetError as err:
+        return "budget", err.accepted.points.tobytes(), err.proposals
+    assert cfg.target_m <= info.pop("exact_evaluations") <= cfg.budget
+    return cloud.points.tobytes(), info
+
+
+def horner_values(f, points):
+    cols = np.ascontiguousarray(np.asarray(points, dtype=float).T)
+    return f._horner.bind(cols)().copy()
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(seed=0, target_m=0)
-    with pytest.raises(ValueError):
-        SamplerConfig(seed=0, target_m=5, eta=0.0)
+    for eta in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="eta must be finite and > 0"):
+            SamplerConfig(seed=0, target_m=5, eta=eta)
     with pytest.raises(ValueError):
         SamplerConfig(seed=0, target_m=5, max_proposals=4)
     assert SamplerConfig(seed=0, target_m=5).budget == 5_000_000
@@ -148,23 +202,122 @@ def edge_case(request):
     return f, cfg
 
 
-@pytest.mark.parametrize("block", [1000, 5003])
+@pytest.mark.parametrize("block", [64, 1000, 5003])
 @pytest.mark.parametrize("chunk", [7, 4096])
 def test_samples_do_not_depend_on_block_sizes(edge_case, monkeypatch, block, chunk):
     # Each proposal's value depends on that proposal alone, so the cloud
-    # and stats are the same for any proposal block and evaluation chunk.
+    # and stats are the same for any proposal block, candidate batch and
+    # evaluation chunk. A 64-proposal block holds one or two direct
+    # candidates; a batch of 1 evaluates them block by block, one of 10^6
+    # waits until they could complete the sample. Only exact_evaluations,
+    # which counts whole blocks' candidates, moves with the block.
     f, cfg = edge_case
     rejection_cfg = SamplerConfig(seed=cfg.seed, target_m=2000)
     expected = [
         direct_sample(f, cfg, full_output=True),
         rejection_sample(f, rejection_cfg, full_output=True),
     ]
+    for info in [info for _, info in expected]:
+        info.pop("exact_evaluations")
     monkeypatch.setattr(sampling, "_BLOCK", block)
     monkeypatch.setattr(polynomials, "_EVAL_CHUNK", chunk)
-    got = [
-        direct_sample(f, cfg, full_output=True),
-        rejection_sample(f, rejection_cfg, full_output=True),
-    ]
-    for (cloud, info), (ref_cloud, ref_info) in zip(got, expected):
-        assert cloud.points.tobytes() == ref_cloud.points.tobytes()
-        assert info == ref_info
+    for batch in (1, 10**6):
+        monkeypatch.setattr(sampling, "_BATCH", batch)
+        got = [
+            direct_sample(f, cfg, full_output=True),
+            rejection_sample(f, rejection_cfg, full_output=True),
+        ]
+        for (cloud, info), (ref_cloud, ref_info) in zip(got, expected):
+            assert cloud.points.tobytes() == ref_cloud.points.tobytes()
+            # at least the accepted points, at most the drawn blocks' proposals
+            assert cloud.m <= info.pop("exact_evaluations") < info["proposals"] + block
+            assert info == ref_info
+
+
+@st.composite
+def sampler_cases(draw):
+    n = draw(st.integers(1, 4))
+    basis = enumerate_monomials(n, draw(st.integers(0, 4)))
+    term = st.one_of(st.just(0.0), st.floats(-1, 1, allow_subnormal=False))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    coeffs = scale * np.array(draw(st.lists(term, min_size=len(basis), max_size=len(basis))))
+    target = draw(st.integers(1, 60))
+    cfg = SamplerConfig(
+        seed=draw(st.integers(0, 2**32)),
+        target_m=target,
+        eta=10.0 ** draw(st.floats(-6, 0)),
+        max_proposals=draw(st.integers(target, 20_000)),
+    )
+    sizes = draw(st.sampled_from([97, 1024, 8192])), draw(st.sampled_from([1, 2048, 10**6]))
+    return Poly(basis, coeffs), cfg, sizes
+
+
+@settings(max_examples=60, deadline=None)
+@given(sampler_cases())
+def test_screened_direct_sample_equals_unscreened_reference(case):
+    # Points, stats, and a budget error's partial points and proposal
+    # count are those of the loop that evaluates every proposal exactly,
+    # for any proposal block and candidate batch. Without the screen, as
+    # for an infinite bound, every proposal is a candidate and many
+    # batches hold rejected ones.
+    f, cfg, (block, batch) = case
+    with mock.patch.object(sampling, "_BLOCK", block), mock.patch.object(sampling, "_BATCH", batch):
+        expected = reference_direct_sample(f, cfg)
+        assert screened_direct_sample(f, cfg) == expected
+        with mock.patch.object(sampling, "_screen", lambda f, eta: None):
+            assert screened_direct_sample(f, cfg) == expected
+
+
+@pytest.mark.parametrize("inside", [False, True])
+def test_eta_tied_to_a_proposal_value_is_decided_exactly(inside):
+    # eta equal to |f| of a stream proposal: strict < rejects it, and the
+    # screen must pass it on for the exact value to do so; one ulp above
+    # accepts it. The budget ends the run, so every accepted point counts.
+    f = map_polynomial(fit_map(gen_sphere_plane(400, 0.5, seed=31), 3))
+    seed = 41
+    proposals = make_rng(seed).random((8192, 4))[:, :3]
+    vals = np.abs(f.evaluate(proposals))
+    tie = int(np.argmin(np.abs(vals - 1e-4)))
+    eta = float(np.nextafter(vals[tie], np.inf) if inside else vals[tie])
+    cfg = SamplerConfig(seed=seed, target_m=8192, eta=eta, max_proposals=8192)
+    got = screened_direct_sample(f, cfg)
+    assert got == reference_direct_sample(f, cfg)
+    accepted = np.frombuffer(got[1]).reshape(-1, 3)
+    assert any(np.array_equal(p, proposals[tie]) for p in accepted) == inside
+
+
+@pytest.mark.parametrize("n,degree", [(1, 9), (2, 6), (3, 3), (3, 5), (4, 5), (5, 4)])
+def test_horner_bound_margin(n, degree):
+    # The bound keeps a 2^10 margin over the observed gap between the
+    # Horner screen and Poly.evaluate on unit-norm polynomials, N <= 126.
+    basis = enumerate_monomials(n, degree)
+    rng = np.random.default_rng(n * 10 + degree)
+    f = Poly(basis, rng.standard_normal(len(basis))).normalized()
+    points = rng.random((10**5, n))
+    gap = np.abs(horner_values(f, points) - f.evaluate(points))
+    assert len(basis) <= 126
+    assert gap.max() <= f._horner.bound * 2.0**-10
+
+
+def test_horner_screen_of_constant_and_zero_polynomials():
+    points = np.random.default_rng(0).random((50, 2))
+    assert np.array_equal(horner_values(ZERO, points), np.zeros(50))
+    three = Poly.from_terms(2, 2, {(0, 0): 3.0})
+    assert np.array_equal(horner_values(three, points), np.full(50, 3.0))
+    assert ZERO._horner.bound == np.inf  # S = 0 proves nothing
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
+def test_non_finite_coefficient_makes_every_proposal_a_candidate(bad):
+    # A NaN or infinite coefficient, or one so large that the error model
+    # could overflow, gives an infinite bound; the exact values then decide
+    # every proposal, as in the reference.
+    f = Poly.from_terms(2, 2, {(2, 0): bad, (1, 0): 1.0, (0, 1): -1.0})
+    assert f._horner.bound == np.inf
+    for eta in (1e-3, 1.0):
+        cfg = SamplerConfig(seed=3, target_m=20, eta=eta, max_proposals=5000)
+        got = screened_direct_sample(f, cfg)
+        assert got == reference_direct_sample(f, cfg)
+    with pytest.raises(ProposalBudgetError) as err:
+        direct_sample(f, SamplerConfig(seed=3, target_m=20, max_proposals=5000))
+    assert err.value.proposals == 5000
