@@ -40,12 +40,7 @@ from .polynomials import (
     gradient_polys,
     sum_of_squares,
 )
-from .sampling import (
-    ProposalBudgetError,
-    SamplerConfig,
-    direct_sample,
-    rejection_sample,
-)
+from .sampling import ProposalBudgetError, SamplerConfig, direct_sample
 from .singular import SingularityReport, singularity_filter
 from .transport import TransportPlan, wasserstein_exact, wasserstein_sinkhorn
 
@@ -80,7 +75,6 @@ __all__ = [
     "map_polynomial",
     "normalize_to_unit_cube",
     "rationalize",
-    "rejection_sample",
     "save_cloud",
     "save_model",
     "singularity_filter",

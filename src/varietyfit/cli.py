@@ -26,6 +26,7 @@ import numpy as np
 from .cloud import (
     CloudFormatError,
     PointCloud,
+    check_dense_budget,
     load_cloud,
     normalize_to_unit_cube,
     save_cloud,
@@ -33,7 +34,7 @@ from .cloud import (
 from .datasets import gen_noisy_line, gen_sphere_plane, gen_sphere_plane_singular
 from .fitting import RationalizationError, fit_map, rationalize
 from .modelio import ModelFile, export_singular_script, load_model, save_model
-from .sampling import ProposalBudgetError, SamplerConfig, direct_sample, rejection_sample
+from .sampling import ProposalBudgetError, SamplerConfig, direct_sample
 from .singular import singularity_filter
 from .transport import wasserstein_exact, wasserstein_sinkhorn
 
@@ -165,8 +166,7 @@ def cmd_sample(args) -> dict:
         eta=args.eta,
         max_proposals=args.max_proposals,
     )
-    sampler = direct_sample if args.method == "direct" else rejection_sample
-    cloud, stats = sampler(f, cfg, full_output=True)
+    cloud, stats = direct_sample(f, cfg, full_output=True)
     # The sample is drawn in model coordinates; a normalized model's goes
     # out in the data's.
     record = model.normalization
@@ -295,9 +295,13 @@ def cmd_pipeline(args) -> dict:
     )
     if not (np.isfinite(args.epsilon) and args.epsilon > 0):
         raise ValueError(f"--epsilon must be finite and > 0, got {args.epsilon}")
+    reference = load_cloud(args.reference, header=args.header) if args.reference else None
+    # Each transport's cost matrix is the reference's size by --m, since
+    # every resample has exactly --m points: refused before the cloud is
+    # generated or anything is written.
+    check_dense_budget(args.m if reference is None else reference.m, args.m, "cost matrix")
     cloud = _GENERATORS[args.kind](args.m, args.seed, args.sigma, args.plane_fraction)
-    if args.reference:
-        reference = load_cloud(args.reference, header=args.header)
+    if reference is not None:
         if reference.dim != cloud.dim:
             raise ValueError(
                 f"{args.reference}: reference dimension {reference.dim} does not "
@@ -412,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="sample a cloud from a fitted model")
     p.add_argument("--model", required=True)
-    p.add_argument("--method", choices=["direct", "rejection"], default="direct")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--eta", type=float, default=1e-3)
     p.add_argument("--max-proposals", type=int, default=None)

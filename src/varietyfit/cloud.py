@@ -18,6 +18,23 @@ __all__ = [
 # How far outside [0,1] a cloud may stray (for example, noisy data loaded
 # from a file) before fitting refuses it rather than warning.
 CUBE_SLACK = 0.05
+# One dense float64 matrix may hold at most EXACT_SIZE_CAP**2 entries (128
+# MiB): transport's cost matrix, fitting's Vandermonde table and Gram
+# matrix, and a sample's points.
+EXACT_SIZE_CAP = 4096
+
+
+def check_dense_budget(rows: int, cols: int, what: str) -> None:
+    """Refuse a rows x cols float64 matrix over the one-matrix budget.
+
+    The ValueError names the shape, what the matrix is and the bytes it
+    would need; nothing is allocated.
+    """
+    if rows * cols > EXACT_SIZE_CAP**2:
+        raise ValueError(
+            f"a {rows} x {cols} {what} needs {8 * rows * cols} bytes, over the "
+            f"{8 * EXACT_SIZE_CAP**2}-byte budget for one dense matrix"
+        )
 
 
 class CloudFormatError(ValueError):

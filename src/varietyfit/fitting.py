@@ -22,9 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cloud import CUBE_SLACK, PointCloud
+from .cloud import CUBE_SLACK, PointCloud, check_dense_budget
 from .polynomials import MonomialBasis, Poly, enumerate_monomials, monomials, sum_of_squares
-from .transport import EXACT_SIZE_CAP
 
 __all__ = [
     "MapFit",
@@ -59,11 +58,7 @@ def vandermonde(cloud: PointCloud, basis: MonomialBasis) -> np.ndarray:
         )
     N = len(basis)
     for rows, what in ((cloud.m, "Vandermonde table"), (N, "Gram matrix")):
-        if rows * N > EXACT_SIZE_CAP**2:
-            raise ValueError(
-                f"a {rows} x {N} {what} (degree {basis.degree}) needs {8 * rows * N} "
-                f"bytes, over the {8 * EXACT_SIZE_CAP**2}-byte budget for one dense matrix"
-            )
+        check_dense_budget(rows, N, f"{what} (degree {basis.degree})")
     pts = cloud.points
     lo = float(pts.min())
     hi = float(pts.max())

@@ -1,26 +1,16 @@
-"""Seeded samplers drawing point clouds from a polynomial's zero set.
+"""Seeded direct sampling of a polynomial's zero set.
 
-Both samplers propose uniform points on [0,1]^n and filter them:
+direct_sample proposes uniform points a on [0,1]^n and accepts iff
+|f(a)| < eta, producing points within a hard algebraic-distance band of
+the zero set. Proposals are drawn in blocks of points from one
+counter-based stream keyed by the seed, and scanned in order.
 
-  * rejection sampling accepts a proposal a with probability exp(-f(a)^2),
-    the unnormalized likelihood of the fitted model, so accepted points
-    concentrate where |f| is small but noise is represented;
-  * direct sampling accepts iff |f(a)| < eta, producing points within a
-    hard algebraic-distance band of the zero set.
-
-Proposals are drawn in blocks from one counter-based stream keyed by the
-seed, one contiguous (point, alpha) record per proposal, and scanned in
-order. The direct sampler never reads alpha, but dropping the column
-would shift every seeded sample, so the stream keeps it.
-
-Both samplers share one loop. A proposal the loop cannot rule out is a
-candidate, and ``Poly.evaluate`` decides every candidate. For the
-rejection sampler every proposal is a candidate. The direct sampler
-first screens each block with the polynomial's nested Horner form
-(``Poly._horner``), whose value s is within a proven B of
-``Poly.evaluate``'s on the cube: a proposal with |s| >= eta + B has
-|f(a)| >= eta and is rejected unevaluated. The rest are candidates, and
-the exact value accepts them with the same strict |f(a)| < eta as before.
+A proposal the screen cannot rule out is a candidate, and
+``Poly.evaluate`` decides every candidate. The screen is the
+polynomial's nested Horner form (``Poly._horner``), whose value s is
+within a proven B of ``Poly.evaluate``'s on the cube: a proposal with
+|s| >= eta + B has |f(a)| >= eta and is rejected unevaluated. The rest are
+candidates, and the exact value accepts them with a strict |f(a)| < eta.
 Near the band that is about 2% of the proposals at eta = 1e-4. A
 non-finite B proves nothing, and then every proposal is a candidate.
 
@@ -41,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud
+from .cloud import PointCloud, check_dense_budget
 from .polynomials import Poly
 from .rng import make_rng
 
@@ -49,7 +39,6 @@ __all__ = [
     "ProposalBudgetError",
     "SamplerConfig",
     "direct_sample",
-    "rejection_sample",
 ]
 
 _BLOCK = 8192
@@ -65,7 +54,7 @@ DEFAULT_PROPOSALS_PER_POINT = 10**6
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Sampler parameters; eta only matters for direct sampling."""
+    """Seed, sample size, band half-width eta and proposal budget."""
 
     seed: int
     target_m: int
@@ -126,13 +115,22 @@ def _screen(f: Poly, eta: float):
     return screen
 
 
-def _sample(f: Poly, cfg: SamplerConfig, accept, screen, full_output: bool):
-    # accept(values, alpha) decides candidates from their exact values;
-    # screen(points) masks a block's candidates, or is None for all.
+def direct_sample(f: Poly, cfg: SamplerConfig, full_output: bool = False):
+    """Draw cfg.target_m uniform points conditioned on |f(a)| < cfg.eta.
+
+    Every returned point satisfies the threshold strictly. full_output=True
+    also returns a dict with the proposal count, the acceptance rate and
+    ``exact_evaluations``, the number of candidates the Horner screen could
+    not reject. A target_m x n sample over the dense budget is refused
+    before anything is drawn. Raises ProposalBudgetError when the budget
+    runs out, which usually signals an eta too small for the budget.
+    """
     n = f.basis.n
+    check_dense_budget(cfg.target_m, n, "sample")
+    screen = _screen(f, cfg.eta)
     rng = make_rng(cfg.seed)
     points = np.empty((cfg.target_m, n))
-    pending: list[np.ndarray] = []  # candidate (point, alpha) rows
+    pending: list[np.ndarray] = []  # candidate proposals
     positions: list[np.ndarray] = []  # their stream positions
     waiting = 0
     collected = 0
@@ -141,12 +139,12 @@ def _sample(f: Poly, cfg: SamplerConfig, accept, screen, full_output: bool):
     proposals_at_finish = None
     while used < cfg.budget and collected < cfg.target_m:
         b = min(_BLOCK, cfg.budget - used)
-        block = rng.random((b, n + 1))
+        block = rng.random((b, n))
         if screen is None:
             pending.append(block)
             positions.append(np.arange(used, used + b))
         else:
-            keep = np.flatnonzero(screen(block[:, :n]))
+            keep = np.flatnonzero(screen(block))
             pending.append(block[keep])
             positions.append(used + keep)
         waiting += pending[-1].shape[0]
@@ -158,9 +156,9 @@ def _sample(f: Poly, cfg: SamplerConfig, accept, screen, full_output: bool):
             where = np.concatenate(positions)
             pending, positions, waiting = [], [], 0
             evaluated += rows.shape[0]
-            hits = np.flatnonzero(accept(f.evaluate(rows[:, :n]), rows[:, n]))
+            hits = np.flatnonzero(np.abs(f.evaluate(rows)) < cfg.eta)
             hits = hits[: cfg.target_m - collected]
-            points[collected : collected + hits.size] = rows[hits, :n]
+            points[collected : collected + hits.size] = rows[hits]
             collected += hits.size
             if collected == cfg.target_m:
                 # stream position of the proposal completing the target
@@ -182,31 +180,3 @@ def _sample(f: Poly, cfg: SamplerConfig, accept, screen, full_output: bool):
         }
         return cloud, stats
     return cloud
-
-
-def rejection_sample(f: Poly, cfg: SamplerConfig, full_output: bool = False):
-    """Draw cfg.target_m points, accepting proposals with prob exp(-f(a)^2).
-
-    With full_output=True also returns a dict with the proposal count, the
-    acceptance rate and ``exact_evaluations``, the number of proposals
-    that reached ``Poly.evaluate`` (here every proposal drawn). Raises
-    ProposalBudgetError when the budget runs out.
-    """
-    return _sample(
-        f, cfg, lambda vals, alpha: alpha < np.exp(-(vals**2)), None, full_output
-    )
-
-
-def direct_sample(f: Poly, cfg: SamplerConfig, full_output: bool = False):
-    """Draw cfg.target_m uniform points conditioned on |f(a)| < cfg.eta.
-
-    Every returned point satisfies the threshold strictly. full_output=True
-    also returns the stats dict of ``rejection_sample``; its
-    ``exact_evaluations`` counts only the candidates the Horner screen
-    could not reject. Raises ProposalBudgetError when the budget runs out,
-    which usually signals an eta too small for the budget.
-    """
-    eta = cfg.eta
-    return _sample(
-        f, cfg, lambda vals, alpha: np.abs(vals) < eta, _screen(f, eta), full_output
-    )

@@ -56,7 +56,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from .cloud import PointCloud
+from .cloud import EXACT_SIZE_CAP, PointCloud, check_dense_budget
 
 __all__ = [
     "TransportPlan",
@@ -64,9 +64,6 @@ __all__ = [
     "wasserstein_sinkhorn",
 ]
 
-# One dense float64 matrix may hold at most EXACT_SIZE_CAP**2 entries (128
-# MiB): the cost matrix here, and fitting's Vandermonde table and Gram matrix.
-EXACT_SIZE_CAP = 4096
 # wasserstein_sinkhorn's default reg, as a fraction of the median squared
 # distance between the two clouds.
 DEFAULT_REG_FRACTION = 0.002
@@ -133,11 +130,7 @@ def _cost_matrix(a: PointCloud, b: PointCloud, out: np.ndarray | None = None) ->
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if a.m == 0 or b.m == 0:
         raise ValueError("cannot transport an empty cloud")
-    if a.m * b.m > EXACT_SIZE_CAP**2:
-        raise ValueError(
-            f"a {a.m} x {b.m} cost matrix needs {8 * a.m * b.m} bytes, over the "
-            f"{8 * EXACT_SIZE_CAP**2}-byte budget for one dense matrix"
-        )
+    check_dense_budget(a.m, b.m, "cost matrix")
     return cdist(a.points, b.points, metric="sqeuclidean", out=out)
 
 

@@ -98,8 +98,8 @@ def test_sample_and_postcondition(tmp_path):
     out = tmp_path / "resampled.csv"
     run("gen", "sphere-plane", "--m", 200, "--seed", 6, "-o", cloud)
     run("fit", "-i", cloud, "-D", 3, "-o", model)
-    assert run("sample", "--model", model, "--method", "direct", "--m", 100,
-               "--eta", 0.001, "--seed", 7, "-o", out) == 0
+    assert run("sample", "--model", model, "--m", 100, "--eta", 0.001, "--seed", 7,
+               "-o", out) == 0
     resampled = load_cloud(out)
     f = load_model(model).poly
     assert np.abs(f.evaluate(resampled.points)).max() < 0.001
@@ -151,9 +151,8 @@ def test_sample_budget_exhaustion_exit_code(tmp_path):
     model = tmp_path / "model.json"
     run("gen", "sphere-plane", "--m", 100, "--seed", 8, "-o", cloud)
     run("fit", "-i", cloud, "-D", 3, "-o", model)
-    code = run("sample", "--model", model, "--method", "direct", "--m", 5000,
-               "--eta", 1e-9, "--max-proposals", 10_000, "--seed", 9,
-               "-o", tmp_path / "r.csv")
+    code = run("sample", "--model", model, "--m", 5000, "--eta", 1e-9,
+               "--max-proposals", 10_000, "--seed", 9, "-o", tmp_path / "r.csv")
     assert code == 3
 
 
@@ -250,11 +249,14 @@ def test_compare_equal_clouds_over_budget_exit_2(tmp_path, monkeypatch, capsys):
         ["compare", "--input-a", "a.csv", "--input-b", "a.csv", "--method", "exact",
          "-o", "m.json"],
         ["pipeline", "--m", 50, "--seed", 1, "--compare-method", "auto", "--outdir", "pipe"],
+        ["sample", "--model", "model.json", "--method", "rejection", "--m", 10, "--seed", 1,
+         "-o", "x.csv"],
     ],
-    ids=["compare-method", "pipeline-compare-method"],
+    ids=["compare-method", "pipeline-compare-method", "sample-method"],
 )
 def test_solver_choice_is_not_a_flag(tmp_path, monkeypatch, argv):
-    # The cloud sizes pick the solver; there is no flag to override them.
+    # The cloud sizes pick the solver, and there is one sampler; no flag
+    # chooses either.
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         run(*argv)
@@ -312,6 +314,14 @@ REFUSED_INPUTS = [
                               "--seed", 1, "--outdir", "pipe"], "--epsilon"),
     ("pipeline-max-proposals-below-m", ["pipeline", "--m", 60, "--max-proposals", 10,
                                         "--seed", 1, "--outdir", "pipe"], "max_proposals"),
+    # Over the one-dense-matrix budget: the sample's points, and the
+    # pipeline's cost matrix before the cloud or the outdir exists.
+    ("sample-m-over-budget", ["sample", "--model", "sphere.json", "--m", 10**10, "--seed", 1,
+                              "-o", "x.csv"],
+     "10000000000 x 3 sample needs 240000000000 bytes"),
+    ("pipeline-m-over-transport-budget", ["pipeline", "--m", 4100, "--degrees", 1, "--seed", 1,
+                                          "--outdir", "pipe"],
+     "4100 x 4100 cost matrix needs 134480000 bytes"),
     ("fit-degree-40", ["fit", "-i", "tiny.csv", "-D", 40, "-o", "model.json"],
      "12341 x 12341 Gram matrix"),
     # A NaN or infinite band merges the whole basis into the kernel.

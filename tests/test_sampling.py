@@ -11,12 +11,7 @@ from varietyfit.datasets import gen_sphere_plane, sphere_plane_polynomial
 from varietyfit.fitting import fit_map, map_polynomial
 from varietyfit.polynomials import Poly, enumerate_monomials
 from varietyfit.rng import make_rng
-from varietyfit.sampling import (
-    ProposalBudgetError,
-    SamplerConfig,
-    direct_sample,
-    rejection_sample,
-)
+from varietyfit.sampling import ProposalBudgetError, SamplerConfig, direct_sample
 
 XMY = Poly.from_terms(2, 1, {(1, 0): 1.0, (0, 1): -1.0})
 ZERO = Poly(enumerate_monomials(2, 1), np.zeros(3))
@@ -34,7 +29,7 @@ def reference_direct_sample(f, cfg):
     chunks, collected, used, finish = [], 0, 0, None
     while used < cfg.budget and collected < cfg.target_m:
         b = min(8192, cfg.budget - used)
-        pts = rng.random((b, n + 1))[:, :n]
+        pts = rng.random((b, n))
         mask = np.abs(f.evaluate(pts)) < cfg.eta
         hits = pts[mask]
         if collected < cfg.target_m <= collected + hits.shape[0]:
@@ -82,36 +77,13 @@ def test_config_validation():
     assert SamplerConfig(seed=0, target_m=5).budget == 5_000_000
 
 
-def test_rejection_zero_polynomial_accepts_everything():
-    cfg = SamplerConfig(seed=1, target_m=500)
-    cloud, info = rejection_sample(ZERO, cfg, full_output=True)
-    assert cloud.m == 500
-    assert info["proposals"] == 500  # every proposal accepted
-    assert (cloud.points >= 0).all() and (cloud.points < 1).all()
-
-
 def test_direct_vacuous_threshold_is_uniform():
     # eta above max|f| on the cube accepts every proposal
     cfg = SamplerConfig(seed=2, target_m=400, eta=2.0)
     cloud, info = direct_sample(XMY, cfg, full_output=True)
     assert info["proposals"] == 400
-    zero_cfg = SamplerConfig(seed=2, target_m=400)
-    assert np.array_equal(cloud.points, rejection_sample(ZERO, zero_cfg).points)
-
-
-def test_rejection_acceptance_law_monte_carlo():
-    # acceptance frequency in a bin around |f| = 0.5 should match exp(-0.25)
-    cfg = SamplerConfig(seed=99, target_m=10_000)
-    cloud, info = rejection_sample(XMY, cfg, full_output=True)
-    v = cloud.points[:, 0] - cloud.points[:, 1]
-    lo, hi = 0.45, 0.55
-    # under the uniform proposal law, v = x - y has density (1 - |v|)
-    p_bin = 2 * ((hi - lo) - (hi**2 - lo**2) / 2)
-    expected_proposals = info["proposals"] * p_bin
-    accepted = int(((np.abs(v) >= lo) & (np.abs(v) < hi)).sum())
-    p_accept = np.exp(-0.25)
-    se = np.sqrt(expected_proposals * p_accept * (1 - p_accept))
-    assert abs(accepted - expected_proposals * p_accept) <= 3 * se
+    # the sample is the proposal stream itself, one point per proposal
+    assert np.array_equal(cloud.points, make_rng(2).random((400, 2)))
 
 
 def test_direct_postcondition_strict():
@@ -170,19 +142,6 @@ def test_eta_monotonicity_on_fixed_stream():
     assert len(sets["small"]) < len(sets["large"])
 
 
-def test_rejection_accepts_on_variety_points():
-    # acceptance probability is exactly 1 where f vanishes, so on-variety
-    # proposals always land in the output
-    cfg = SamplerConfig(seed=11, target_m=2000)
-    cloud = rejection_sample(XMY, cfg)
-    assert cloud.m == 2000
-    # and the output law prefers small |f|: compare tail frequencies
-    v = np.abs(cloud.points[:, 0] - cloud.points[:, 1])
-    near = (v < 0.1).mean()
-    far = (v > 0.8).mean()
-    assert near > far
-
-
 @pytest.fixture(scope="module", params=range(8))
 def edge_case(request):
     # A fitted cubic and an eta at |f| of one early proposal, or one ulp
@@ -191,7 +150,7 @@ def edge_case(request):
     # just rejected and just accepted.
     f = map_polynomial(fit_map(gen_sphere_plane(400, 0.5, seed=31), 3))
     seed = 37
-    proposals = make_rng(seed).random((1000, 4))[:, :3]
+    proposals = make_rng(seed).random((1000, 3))
     vals = np.abs(f.evaluate(proposals))
     edge = int(np.argsort(np.abs(vals - 1e-3))[request.param // 2])
     accepted = bool(request.param % 2)
@@ -207,26 +166,29 @@ def edge_case(request):
 def test_samples_do_not_depend_on_block_sizes(edge_case, monkeypatch, block, chunk):
     # Each proposal's value depends on that proposal alone, so the cloud
     # and stats are the same for any proposal block, candidate batch and
-    # evaluation chunk. A 64-proposal block holds one or two direct
-    # candidates; a batch of 1 evaluates them block by block, one of 10^6
-    # waits until they could complete the sample. Only exact_evaluations,
-    # which counts whole blocks' candidates, moves with the block.
+    # evaluation chunk, screened or not. A 64-proposal block holds one or
+    # two screened candidates, and all 64 proposals unscreened; a batch of
+    # 1 evaluates them block by block, one of 10^6 waits until they could
+    # complete the sample. Only exact_evaluations, which counts whole
+    # blocks' candidates, moves with the block and the screen.
     f, cfg = edge_case
-    rejection_cfg = SamplerConfig(seed=cfg.seed, target_m=2000)
-    expected = [
-        direct_sample(f, cfg, full_output=True),
-        rejection_sample(f, rejection_cfg, full_output=True),
-    ]
+
+    def screened_and_unscreened():
+        results = [direct_sample(f, cfg, full_output=True)]
+        with mock.patch.object(sampling, "_screen", lambda f, eta: None):
+            results.append(direct_sample(f, cfg, full_output=True))
+        return results
+
+    expected = screened_and_unscreened()
     for info in [info for _, info in expected]:
         info.pop("exact_evaluations")
+    assert expected[0][0].points.tobytes() == expected[1][0].points.tobytes()
+    assert expected[0][1] == expected[1][1]
     monkeypatch.setattr(sampling, "_BLOCK", block)
     monkeypatch.setattr(polynomials, "_EVAL_CHUNK", chunk)
     for batch in (1, 10**6):
         monkeypatch.setattr(sampling, "_BATCH", batch)
-        got = [
-            direct_sample(f, cfg, full_output=True),
-            rejection_sample(f, rejection_cfg, full_output=True),
-        ]
+        got = screened_and_unscreened()
         for (cloud, info), (ref_cloud, ref_info) in zip(got, expected):
             assert cloud.points.tobytes() == ref_cloud.points.tobytes()
             # at least the accepted points, at most the drawn blocks' proposals
@@ -275,7 +237,7 @@ def test_eta_tied_to_a_proposal_value_is_decided_exactly(inside):
     # accepts it. The budget ends the run, so every accepted point counts.
     f = map_polynomial(fit_map(gen_sphere_plane(400, 0.5, seed=31), 3))
     seed = 41
-    proposals = make_rng(seed).random((8192, 4))[:, :3]
+    proposals = make_rng(seed).random((8192, 3))
     vals = np.abs(f.evaluate(proposals))
     tie = int(np.argmin(np.abs(vals - 1e-4)))
     eta = float(np.nextafter(vals[tie], np.inf) if inside else vals[tie])
