@@ -32,7 +32,7 @@ from .cloud import (
     save_cloud,
 )
 from .datasets import gen_noisy_line, gen_sphere_plane, gen_sphere_plane_singular
-from .fitting import RationalizationError, fit_map, rationalize
+from .fitting import RationalizationError, check_fit_budget, fit_map, rationalize
 from .modelio import ModelFile, export_singular_script, load_model, save_model
 from .sampling import ProposalBudgetError, SamplerConfig, direct_sample
 from .singular import singularity_filter
@@ -318,6 +318,10 @@ def cmd_pipeline(args) -> dict:
     exact = reference.m == args.m
     _refuse_reg_if_exact(exact, args.reg)
     workers = min(len(degrees), _usable_cpus()) if exact else 1
+    # Every degree's Vandermonde table and Gram matrix, before anything is
+    # written.
+    for degree in degrees:
+        check_fit_budget(cloud.m, cloud.dim, degree)
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -348,7 +352,6 @@ def cmd_pipeline(args) -> dict:
                 "wasserstein": None,
                 "singular_count": report.accepted_count,
                 "acceptance_rate": stats["acceptance_rate"],
-                "exact_evaluations": stats["exact_evaluations"],
                 "band_distance_quantiles": _band_quantiles(
                     f.evaluate(resampled.points), report.gradient_norms
                 ),

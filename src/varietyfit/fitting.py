@@ -42,13 +42,21 @@ __all__ = [
 _SIGN_TIE_REL = 1e-9
 
 
+def check_fit_budget(m: int, n: int, degree: int) -> None:
+    """Refuse a fit of m points in n variables at this degree when its
+    m x N Vandermonde table or N x N Gram matrix is over the dense budget
+    (EXACT_SIZE_CAP**2 entries); nothing is allocated."""
+    N = math.comb(n + degree, degree)
+    for rows, what in ((m, "Vandermonde table"), (N, "Gram matrix")):
+        check_dense_budget(rows, N, f"{what} (degree {degree})")
+
+
 def vandermonde(cloud: PointCloud, basis: MonomialBasis) -> np.ndarray:
     """Monomial evaluations U[i, j] = x^alpha_j(a_i), one row per point.
 
     Points are expected inside [0, 1]^n; excursions up to CUBE_SLACK
     outside only warn (noise tolerance), anything further is an error.
-    A table of m x N or a Gram matrix of N x N entries over the dense
-    budget (EXACT_SIZE_CAP**2) is refused before either is allocated.
+    A fit over the dense budget is refused first (``check_fit_budget``).
     """
     if cloud.m == 0:
         raise ValueError("cannot build a Vandermonde matrix from an empty cloud")
@@ -56,9 +64,7 @@ def vandermonde(cloud: PointCloud, basis: MonomialBasis) -> np.ndarray:
         raise ValueError(
             f"cloud dimension {cloud.dim} does not match basis n={basis.n}"
         )
-    N = len(basis)
-    for rows, what in ((cloud.m, "Vandermonde table"), (N, "Gram matrix")):
-        check_dense_budget(rows, N, f"{what} (degree {basis.degree})")
+    check_fit_budget(cloud.m, basis.n, basis.degree)
     pts = cloud.points
     lo = float(pts.min())
     hi = float(pts.max())

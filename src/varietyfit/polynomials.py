@@ -9,15 +9,13 @@ models reproducible across runs.
 
 All types are immutable after construction and all operations are pure.
 
-Two kernels evaluate a polynomial. ``Poly.evaluate`` forms every monomial
-from ``np.power`` factors and adds ``c_k * x^alpha_k`` in basis order; its
-bits define every seeded fit, sample and filter. A private nested Horner
-form (``Poly._horner``) evaluates the same polynomial with about two
-elementwise in-place ufunc calls per term on preallocated buffers, with no
-``np.power`` and no BLAS, and carries a proven bound on how far its value
-can be from ``Poly.evaluate``'s on [0,1]^n. The direct sampler uses it only
-to reject proposals whose value is provably outside the band; the values
-it keeps still come from ``Poly.evaluate``.
+One kernel evaluates a polynomial: its nested Horner form (``_Horner``),
+about two elementwise in-place ufunc calls per term on preallocated
+buffers, with no ``np.power`` and no BLAS. ``Poly.evaluate`` runs it on
+the coefficients, ``Poly.gradient`` on each partial derivative's, and the
+direct sampler on every proposal; its bits define every seeded sample and
+filter. Fitting's monomial table (``monomials``) is built separately, from
+``np.power`` factors, and its bits define every seeded fit.
 """
 
 from __future__ import annotations
@@ -39,8 +37,8 @@ __all__ = [
     "sum_of_squares",
 ]
 
-# Rows processed per block by evaluate and gradient, to bound the size of
-# the per-variable power vectors. Results do not depend on it.
+# Rows processed per block by evaluate, gradient and monomials, to bound
+# the size of their buffers. Results do not depend on it.
 _EVAL_CHUNK = 8192
 
 UNIT_NORM_TOL = 1e-12
@@ -177,12 +175,13 @@ class Poly:
         """Evaluate at one point (n,) or a stack of points (m, n).
 
         Returns a float for a single point, an (m,) array otherwise.
-        Computed as the sum of c_k * x^alpha_k over the nonzero
-        coefficients, added left to right in basis order, so each row's
-        value depends on that row alone.
+        Computed by the polynomial's nested Horner form, whose elementwise,
+        correctly rounded products and sums make each row's value depend on
+        that row alone. On [0,1]^n it is within gamma_(2D+n) * sum|c_k| of
+        the exact value (see ``_Horner``).
         """
         pts, single = self._as_points(points)
-        out = _basis_sums(pts, self._terms, 1)[0]
+        out = _evaluate((self._horner,), pts)[0]
         return float(out[0]) if single else out
 
     __call__ = evaluate
@@ -203,33 +202,26 @@ class Poly:
         return tuple(out)
 
     @cached_property
-    def _terms(self) -> tuple:
-        return _nonzero_terms(self.basis, [self.coeffs])
-
-    @cached_property
     def _horner(self) -> "_Horner":
         return _Horner(self.basis, self.coeffs)
 
     @cached_property
-    def _gradient_terms(self) -> tuple:
-        return _nonzero_terms(self.basis, self._partials)
+    def _partial_horners(self) -> tuple["_Horner", ...]:
+        return tuple(_Horner(self.basis, c) for c in self._partials)
 
     def gradient(self, points):
         """Partial derivatives at one point (-> (n,)) or a stack (-> (m, n)).
 
-        Column j is the basis-order sum of the j-th partial's nonzero
-        coefficients times the monomials, bit for bit what
-        ``gradient_polys(f)[j].evaluate`` returns; each monomial is
-        computed once for all n columns.
+        Column j runs the Horner form of the j-th partial's coefficients,
+        bit for bit what ``gradient_polys(f)[j].evaluate`` returns.
         """
         pts, single = self._as_points(points)
-        out = _basis_sums(pts, self._gradient_terms, self.n)
-        out = np.ascontiguousarray(out.T)
+        out = np.ascontiguousarray(_evaluate(self._partial_horners, pts).T)
         return out[0] if single else out
 
 
 class _Horner:
-    """Nested Horner form of a polynomial, with its distance to ``evaluate``.
+    """Nested Horner form of a polynomial: the package's evaluator.
 
     f is written as a polynomial in x_1 whose coefficients are polynomials
     in x_2, and so on down to constants; each level runs Horner's rule,
@@ -237,32 +229,15 @@ class _Horner:
     turns that into a list of elementwise in-place ufunc calls on one
     (n, b) column buffer and n preallocated registers.
 
-    ``bound`` is a B with |horner(x) - evaluate(x)| <= B on [0,1]^n, where
-    |x^alpha| <= 1. Write u = 2^-53 and gamma_k = k u / (1 - k u), with N
-    the basis length, D its degree and S = sum |c_k|. Every rounded
-    operation is x o y times (1 + delta), |delta| <= u, so a computed sum
-    of terms is sum c_k x^alpha_k (1 + theta_k), where |theta_k| <= gamma_j
-    when term k passes through j rounded operations.
-
-      * Horner: at a level where the term's exponent is a, it is added
-        once and then multiplied and added at most a times each: 2a + 1
-        operations per level, at most 2D + n in all. So
-        |horner - f| <= gamma_(2D+n) S.
-      * ``evaluate``: each of a monomial's at most n factors comes from
-        ``np.power``, taken to be within 4 ulp (8u; measured below 0.65
-        ulp for numpy 2.4 on AVX-512), which counts as 8 operations. Then
-        come at most n - 1 products, one coefficient product and at most N
-        additions. So |evaluate - f| <= gamma_(9n+N) S.
-
-    Together |horner - evaluate| <= gamma_(N+10n+2D) S, below
-    1.02 u (N + 10n + 2D) S. B = 2^-40 (N + 11n + 2D + 1) S is more than
-    2^12 times that, which also covers the rounding of S and B
-    themselves. The model assumes neither overflow nor underflow: with
-    2^-900 <= S <= 2^900 every intermediate stays below 2^901, and an
-    underflowing operation adds an absolute error of at most 2^-1075,
-    which later products scale by at most max(1, S): far below B. Outside
-    that range, or for a non-finite coefficient, B is inf and proves
-    nothing.
+    Its accuracy on [0,1]^n, where |x^alpha| <= 1: write u = 2^-53 and
+    gamma_k = k u / (1 - k u), with D the basis degree and S = sum |c_k|.
+    Every rounded operation is x o y times (1 + delta), |delta| <= u, so a
+    computed sum of terms is sum c_k x^alpha_k (1 + theta_k), where
+    |theta_k| <= gamma_j when term k passes through j rounded operations.
+    At a level where the term's exponent is a, it is added once and then
+    multiplied and added at most a times each: 2a + 1 operations per
+    level, at most 2D + n in all. So, barring overflow and underflow,
+    |horner - f| <= gamma_(2D+n) S.
     """
 
     def __init__(self, basis: MonomialBasis, coeffs: np.ndarray) -> None:
@@ -270,10 +245,6 @@ class _Horner:
         terms = [(alpha, float(c)) for alpha, c in zip(basis.exponents, coeffs) if c != 0.0]
         self._steps: list[tuple] = []
         self._constant = self._compile(0, terms, 0)
-        scale = float(np.abs(coeffs).sum())
-        size = len(basis) + 11 * basis.n + 2 * basis.degree + 1
-        in_range = 2.0**-900 <= scale <= 2.0**900
-        self.bound = 2.0**-40 * size * scale if in_range else math.inf
 
     def _compile(self, j: int, terms, dst: int):
         # Appends the steps that leave sum c * x^alpha over `terms` in
@@ -326,6 +297,18 @@ class _Horner:
         return run
 
 
+def _evaluate(programs, pts: np.ndarray) -> np.ndarray:
+    # out[j, i] = programs[j] at row i, _EVAL_CHUNK rows at a time. Each
+    # chunk binds fresh buffers, so concurrent calls share none.
+    out = np.empty((len(programs), pts.shape[0]))
+    for start in range(0, pts.shape[0], _EVAL_CHUNK):
+        stop = start + _EVAL_CHUNK
+        cols = np.ascontiguousarray(pts[start:stop].T)
+        for row, program in zip(out, programs):
+            row[start:stop] = program.bind(cols)()
+    return out
+
+
 def _powers(points, keys) -> dict[tuple[int, int], np.ndarray]:
     # x_j^a as a contiguous vector for each factor (j, a) in keys: x_j^1 is
     # x_j itself, powers of 2 and up come from np.power with an array
@@ -337,7 +320,7 @@ def _powers(points, keys) -> dict[tuple[int, int], np.ndarray]:
     # 5% of uniform points in [0, 1), and repeated multiplication x*x*x
     # differs from pow() at about 26% (numpy 2.4 on AVX-512, where its
     # vectorized pow is not correctly rounded). Either would change the
-    # monomials' bits, and with them every seeded fit, sample and filter.
+    # monomials' bits, and with them every seeded fit.
     return {
         (j, a): cols[j] if a == 1 else np.power(cols[j], np.full(m, float(a)))
         for j, a in keys
@@ -358,48 +341,24 @@ def _monomial(powers, factors: tuple[tuple[int, int], ...], out: np.ndarray):
     return out
 
 
-def _nonzero_terms(basis: MonomialBasis, vectors) -> tuple:
-    # (factors of alpha_k, ((j, c_jk), ...)) for each monomial with a
-    # nonzero coefficient in any of the vectors, in basis order.
-    terms = []
-    for k, factors in enumerate(basis._factors):
-        coeffs = tuple((j, float(c[k])) for j, c in enumerate(vectors) if c[k] != 0.0)
-        if coeffs:
-            terms.append((factors, coeffs))
-    return tuple(terms)
-
-
-def _basis_sums(pts: np.ndarray, terms, width: int) -> np.ndarray:
-    # out[j, i] = sum of c_jk * x_i^alpha_k over `terms`, accumulated left
-    # to right in basis order from +0.0. Every step is an elementwise,
-    # correctly rounded numpy product or sum, so a row's bits depend on
-    # neither its block, its offset in the block, nor _EVAL_CHUNK.
-    out = np.zeros((width, pts.shape[0]))
-    keys = {key for factors, _ in terms for key in factors}
-    for start in range(0, pts.shape[0], _EVAL_CHUNK):
-        stop = start + _EVAL_CHUNK
-        powers = _powers(pts[start:stop], keys)
-        rows = [row[start:stop] for row in out]
-        mono = np.empty(rows[0].shape)
-        term = np.empty_like(mono)
-        for factors, coeffs in terms:
-            x = _monomial(powers, factors, mono)
-            for j, c in coeffs:
-                np.add(rows[j], np.multiply(x, c, term), rows[j])
-    return out
-
-
 def monomials(points: np.ndarray, basis: MonomialBasis) -> np.ndarray:
     """Monomial table M[i, k] = x_i^alpha_k of (m, n) points, shape (m, N).
 
-    The basis-order sums of ``Poly.evaluate`` and ``Poly.gradient`` with one
-    unit coefficient per monomial, so fitting's table and every evaluation
-    share one kernel: column k is +0.0 + 1.0 * x^alpha_k, which is x^alpha_k
-    bit for bit except that a -0.0 product becomes +0.0.
+    Column k is +0.0 + x^alpha_k, with x^alpha_k the product of its
+    ``np.power`` factors in variable order: x^alpha_k bit for bit, except
+    that a -0.0 product becomes +0.0. Each row depends on that row alone.
     """
     pts = np.asarray(points, dtype=float)
-    terms = tuple((factors, ((k, 1.0),)) for k, factors in enumerate(basis._factors))
-    return np.ascontiguousarray(_basis_sums(pts, terms, len(basis)).T)
+    out = np.zeros((len(basis), pts.shape[0]))
+    keys = {key for factors in basis._factors for key in factors}
+    for start in range(0, pts.shape[0], _EVAL_CHUNK):
+        stop = start + _EVAL_CHUNK
+        block = pts[start:stop]
+        powers = _powers(block, keys)
+        mono = np.empty(block.shape[0])
+        for row, factors in zip(out, basis._factors):
+            np.add(row[start:stop], _monomial(powers, factors, mono), row[start:stop])
+    return np.ascontiguousarray(out.T)
 
 
 def gradient_polys(f: Poly) -> tuple[Poly, ...]:

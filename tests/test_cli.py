@@ -130,8 +130,6 @@ def test_sample_warns_when_the_band_swallows_the_cube(tmp_path, capsys):
     rate = manifest["results"]["acceptance_rate"]
     assert rate >= cli.BAND_SWALLOW_RATE
     assert f"warning: acceptance rate {rate:.3g} >= 0.5" in err
-    # the proposals that reached the exact evaluation: all but the screened
-    assert 100 <= manifest["results"]["exact_evaluations"] <= 8192
 
 
 def test_pipeline_warns_per_degree_when_the_band_swallows_the_cube(tmp_path, capsys):
@@ -142,7 +140,6 @@ def test_pipeline_warns_per_degree_when_the_band_swallows_the_cube(tmp_path, cap
     for row in table:
         warned = f"warning: D={row['D']}: acceptance rate" in err
         assert warned == (row["acceptance_rate"] >= cli.BAND_SWALLOW_RATE)
-        assert 60 <= row["exact_evaluations"]
     assert "D=3: acceptance rate" in err
 
 
@@ -302,8 +299,7 @@ REFUSED_INPUTS = [
      "eta"),
     ("pipeline-epsilon-0", ["pipeline", "--m", 60, "--epsilon", 0, "--degrees", 1,
                             "--seed", 1, "--outdir", "pipe"], "--epsilon"),
-    # A non-finite band or threshold accepts everything; the sampler's
-    # screen also needs a finite eta.
+    # A non-finite band or threshold accepts everything.
     ("sample-eta-inf", ["sample", "--model", "sphere.json", "--m", 10, "--eta", "inf",
                         "--seed", 1, "-o", "x.csv"], "eta"),
     ("singular-epsilon-inf", ["singular", "--model", "sphere.json", "-i", "a.csv",
@@ -314,8 +310,9 @@ REFUSED_INPUTS = [
                               "--seed", 1, "--outdir", "pipe"], "--epsilon"),
     ("pipeline-max-proposals-below-m", ["pipeline", "--m", 60, "--max-proposals", 10,
                                         "--seed", 1, "--outdir", "pipe"], "max_proposals"),
-    # Over the one-dense-matrix budget: the sample's points, and the
-    # pipeline's cost matrix before the cloud or the outdir exists.
+    # Over the one-dense-matrix budget: the sample's points, the pipeline's
+    # cost matrix before the cloud or the outdir exists, and a fit's Gram
+    # matrix, in the pipeline for any listed degree before the outdir exists.
     ("sample-m-over-budget", ["sample", "--model", "sphere.json", "--m", 10**10, "--seed", 1,
                               "-o", "x.csv"],
      "10000000000 x 3 sample needs 240000000000 bytes"),
@@ -324,6 +321,8 @@ REFUSED_INPUTS = [
      "4100 x 4100 cost matrix needs 134480000 bytes"),
     ("fit-degree-40", ["fit", "-i", "tiny.csv", "-D", 40, "-o", "model.json"],
      "12341 x 12341 Gram matrix"),
+    ("pipeline-degree-over-budget", ["pipeline", "--m", 60, "--degrees", "1,40", "--seed", 1,
+                                     "--outdir", "pipe"], "12341 x 12341 Gram matrix"),
     # A NaN or infinite band merges the whole basis into the kernel.
     ("fit-multiplicity-tol-nan", ["fit", "-i", "a.csv", "-D", 2, "--multiplicity-tol", "nan",
                                   "-o", "model.json"], "multiplicity_tol"),

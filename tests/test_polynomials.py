@@ -86,6 +86,14 @@ def test_eval_constant():
     assert f((0.2, 0.9, 0.4)) == 1.0
 
 
+def test_eval_zero_and_constant_in_larger_basis():
+    points = np.random.default_rng(0).random((50, 2))
+    zero = Poly(enumerate_monomials(2, 1), np.zeros(3))
+    assert np.array_equal(zero.evaluate(points), np.zeros(50))
+    three = Poly.from_terms(2, 2, {(0, 0): 3.0})
+    assert np.array_equal(three.evaluate(points), np.full(50, 3.0))
+
+
 def test_eval_shapes_and_dim_mismatch():
     f = Poly.from_terms(2, 2, {(2, 0): 1.0, (0, 2): 1.0})
     pts = np.array([[1.0, 1.0], [0.5, 0.0]])
@@ -227,11 +235,18 @@ def _check_kernel_equivalence(n, degree, m, seed, cuts, rows):
     pts = rng.random((m, n))
     table = monomials(pts, basis)
     assert _same_bits(table, broadcast_monomials(pts, basis.exponent_array))
-    values = f.evaluate(pts)
-    assert _same_bits(values, broadcast_evaluate(f, pts))
     U = vandermonde(PointCloud(pts), basis)
     assert _same_bits(U, table)
-    assert _same_bits(values, basis_order_sum(U, f.coeffs))
+    # evaluate runs the Horner form, within gamma_(2D+n) S of f on the cube
+    # (S = sum |c_k|); the power-and-sum references are within
+    # gamma_(9n+N) S, counting each np.power factor, taken within 4 ulp, as
+    # 8 operations. So they differ by less than 1.02 u (N + 10n + 2D) S,
+    # u = 2^-53, and the bound below is more than 2^12 times that. The
+    # values keep a 2^10 margin under it.
+    values = f.evaluate(pts)
+    bound = 2.0**-40 * (len(basis) + 11 * n + 2 * degree + 1) * np.abs(f.coeffs).sum()
+    for reference in (broadcast_evaluate(f, pts), basis_order_sum(U, f.coeffs)):
+        assert np.abs(values - reference).max(initial=0.0) <= 2.0**-10 * bound
     grads = f.gradient(pts)
     for j, g in enumerate(gradient_polys(f)):
         assert _same_bits(np.ascontiguousarray(grads[:, j]), g.evaluate(pts))
@@ -253,20 +268,26 @@ def _check_kernel_equivalence(n, degree, m, seed, cuts, rows):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_monomial_kernel_matches_broadcast_reference(n, degree, m, seed):
-    # evaluate, the basis-order sum over vandermonde's columns and gradient
-    # agree bit for bit with the independent broadcast kernel and the
-    # derivative polynomials, and with themselves split at every cut offset
-    # up to 32 (every residue mod 4, 8, 16 and 32, where a blocked
-    # matrix-vector product would sum in another order) and row by row
+    # The table and vandermonde agree bit for bit with the independent
+    # broadcast kernel; evaluate is within its accuracy bound of the
+    # broadcast and basis-order sums; gradient agrees bit for bit with the
+    # derivative polynomials; and evaluate and gradient agree with
+    # themselves split at every cut offset up to 32 (every residue mod 4,
+    # 8, 16 and 32, where a blocked matrix-vector product would sum in
+    # another order) and row by row
     k = min(m, 33)
     _check_kernel_equivalence(n, degree, m, seed, range(1, k), range(k))
 
 
-@pytest.mark.parametrize("n,degree", [(1, 5), (3, 3), (5, 5)])
+@pytest.mark.parametrize(
+    "n,degree", [(1, 5), (3, 3), (5, 5), (1, 9), (2, 6), (3, 5), (4, 5), (5, 4)]
+)
 def test_monomial_kernel_across_block_boundary(n, degree):
     # Cuts at every residue mod 4 (where a blocked matrix-vector product
     # would change the summation order) and around the internal 8192-row
-    # block boundary; rows around the cuts are also evaluated alone.
+    # block boundary; rows around the cuts are also evaluated alone. The
+    # degrees reach 9 in one variable and N = 126 in five, where the
+    # accuracy bound's margin is checked on 8199 points.
     m = 2 * 4096 + 7
     cuts = [1, 2, 3, 4094, 4095, 4097, 8190, 8191, 8192, 8193, 8198]
     rows = sorted({i for cut in cuts for i in (cut - 1, cut)})

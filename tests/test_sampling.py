@@ -14,15 +14,14 @@ from varietyfit.rng import make_rng
 from varietyfit.sampling import ProposalBudgetError, SamplerConfig, direct_sample
 
 XMY = Poly.from_terms(2, 1, {(1, 0): 1.0, (0, 1): -1.0})
-ZERO = Poly(enumerate_monomials(2, 1), np.zeros(3))
 
 
 def reference_direct_sample(f, cfg):
-    """The direct sampler with neither screen nor batches.
+    """The direct sampler through ``Poly.evaluate``, block by block.
 
-    Every proposal's exact value, block by block, as the sampler did before
-    it screened. Returns (points, stats) on success and ("budget", partial
-    points, proposals) when the budget runs out.
+    Every proposal's value in 8192-proposal blocks. Returns (points, stats)
+    on success and ("budget", partial points, proposals) when the budget
+    runs out.
     """
     n = f.basis.n
     rng = make_rng(cfg.seed)
@@ -47,23 +46,13 @@ def reference_direct_sample(f, cfg):
     }
 
 
-def screened_direct_sample(f, cfg):
-    """direct_sample's result in reference_direct_sample's form.
-
-    exact_evaluations is checked against the proposals drawn, then
-    dropped: the reference evaluates every proposal.
-    """
+def sampled(f, cfg):
+    """direct_sample's result in reference_direct_sample's form."""
     try:
         cloud, info = direct_sample(f, cfg, full_output=True)
     except ProposalBudgetError as err:
         return "budget", err.accepted.points.tobytes(), err.proposals
-    assert cfg.target_m <= info.pop("exact_evaluations") <= cfg.budget
     return cloud.points.tobytes(), info
-
-
-def horner_values(f, points):
-    cols = np.ascontiguousarray(np.asarray(points, dtype=float).T)
-    return f._horner.bind(cols)().copy()
 
 
 def test_config_validation():
@@ -165,35 +154,14 @@ def edge_case(request):
 @pytest.mark.parametrize("chunk", [7, 4096])
 def test_samples_do_not_depend_on_block_sizes(edge_case, monkeypatch, block, chunk):
     # Each proposal's value depends on that proposal alone, so the cloud
-    # and stats are the same for any proposal block, candidate batch and
-    # evaluation chunk, screened or not. A 64-proposal block holds one or
-    # two screened candidates, and all 64 proposals unscreened; a batch of
-    # 1 evaluates them block by block, one of 10^6 waits until they could
-    # complete the sample. Only exact_evaluations, which counts whole
-    # blocks' candidates, moves with the block and the screen.
+    # and stats are the same for any proposal block and evaluation chunk.
     f, cfg = edge_case
-
-    def screened_and_unscreened():
-        results = [direct_sample(f, cfg, full_output=True)]
-        with mock.patch.object(sampling, "_screen", lambda f, eta: None):
-            results.append(direct_sample(f, cfg, full_output=True))
-        return results
-
-    expected = screened_and_unscreened()
-    for info in [info for _, info in expected]:
-        info.pop("exact_evaluations")
-    assert expected[0][0].points.tobytes() == expected[1][0].points.tobytes()
-    assert expected[0][1] == expected[1][1]
+    expected = direct_sample(f, cfg, full_output=True)
     monkeypatch.setattr(sampling, "_BLOCK", block)
     monkeypatch.setattr(polynomials, "_EVAL_CHUNK", chunk)
-    for batch in (1, 10**6):
-        monkeypatch.setattr(sampling, "_BATCH", batch)
-        got = screened_and_unscreened()
-        for (cloud, info), (ref_cloud, ref_info) in zip(got, expected):
-            assert cloud.points.tobytes() == ref_cloud.points.tobytes()
-            # at least the accepted points, at most the drawn blocks' proposals
-            assert cloud.m <= info.pop("exact_evaluations") < info["proposals"] + block
-            assert info == ref_info
+    cloud, info = direct_sample(f, cfg, full_output=True)
+    assert cloud.points.tobytes() == expected[0].points.tobytes()
+    assert info == expected[1]
 
 
 @st.composite
@@ -210,31 +178,25 @@ def sampler_cases(draw):
         eta=10.0 ** draw(st.floats(-6, 0)),
         max_proposals=draw(st.integers(target, 20_000)),
     )
-    sizes = draw(st.sampled_from([97, 1024, 8192])), draw(st.sampled_from([1, 2048, 10**6]))
-    return Poly(basis, coeffs), cfg, sizes
+    return Poly(basis, coeffs), cfg, draw(st.sampled_from([97, 1024, 8192]))
 
 
 @settings(max_examples=60, deadline=None)
 @given(sampler_cases())
-def test_screened_direct_sample_equals_unscreened_reference(case):
+def test_direct_sample_equals_block_by_block_reference(case):
     # Points, stats, and a budget error's partial points and proposal
-    # count are those of the loop that evaluates every proposal exactly,
-    # for any proposal block and candidate batch. Without the screen, as
-    # for an infinite bound, every proposal is a candidate and many
-    # batches hold rejected ones.
-    f, cfg, (block, batch) = case
-    with mock.patch.object(sampling, "_BLOCK", block), mock.patch.object(sampling, "_BATCH", batch):
-        expected = reference_direct_sample(f, cfg)
-        assert screened_direct_sample(f, cfg) == expected
-        with mock.patch.object(sampling, "_screen", lambda f, eta: None):
-            assert screened_direct_sample(f, cfg) == expected
+    # count are those of the loop that evaluates every proposal with
+    # Poly.evaluate, for any proposal block.
+    f, cfg, block = case
+    with mock.patch.object(sampling, "_BLOCK", block):
+        assert sampled(f, cfg) == reference_direct_sample(f, cfg)
 
 
 @pytest.mark.parametrize("inside", [False, True])
 def test_eta_tied_to_a_proposal_value_is_decided_exactly(inside):
-    # eta equal to |f| of a stream proposal: strict < rejects it, and the
-    # screen must pass it on for the exact value to do so; one ulp above
-    # accepts it. The budget ends the run, so every accepted point counts.
+    # eta equal to |f| of a stream proposal: strict < rejects it; one ulp
+    # above accepts it. The budget ends the run, so every accepted point
+    # counts.
     f = map_polynomial(fit_map(gen_sphere_plane(400, 0.5, seed=31), 3))
     seed = 41
     proposals = make_rng(seed).random((8192, 3))
@@ -242,44 +204,20 @@ def test_eta_tied_to_a_proposal_value_is_decided_exactly(inside):
     tie = int(np.argmin(np.abs(vals - 1e-4)))
     eta = float(np.nextafter(vals[tie], np.inf) if inside else vals[tie])
     cfg = SamplerConfig(seed=seed, target_m=8192, eta=eta, max_proposals=8192)
-    got = screened_direct_sample(f, cfg)
+    got = sampled(f, cfg)
     assert got == reference_direct_sample(f, cfg)
     accepted = np.frombuffer(got[1]).reshape(-1, 3)
     assert any(np.array_equal(p, proposals[tie]) for p in accepted) == inside
 
 
-@pytest.mark.parametrize("n,degree", [(1, 9), (2, 6), (3, 3), (3, 5), (4, 5), (5, 4)])
-def test_horner_bound_margin(n, degree):
-    # The bound keeps a 2^10 margin over the observed gap between the
-    # Horner screen and Poly.evaluate on unit-norm polynomials, N <= 126.
-    basis = enumerate_monomials(n, degree)
-    rng = np.random.default_rng(n * 10 + degree)
-    f = Poly(basis, rng.standard_normal(len(basis))).normalized()
-    points = rng.random((10**5, n))
-    gap = np.abs(horner_values(f, points) - f.evaluate(points))
-    assert len(basis) <= 126
-    assert gap.max() <= f._horner.bound * 2.0**-10
-
-
-def test_horner_screen_of_constant_and_zero_polynomials():
-    points = np.random.default_rng(0).random((50, 2))
-    assert np.array_equal(horner_values(ZERO, points), np.zeros(50))
-    three = Poly.from_terms(2, 2, {(0, 0): 3.0})
-    assert np.array_equal(horner_values(three, points), np.full(50, 3.0))
-    assert ZERO._horner.bound == np.inf  # S = 0 proves nothing
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
 def test_non_finite_coefficient_makes_every_proposal_a_candidate(bad):
-    # A NaN or infinite coefficient, or one so large that the error model
-    # could overflow, gives an infinite bound; the exact values then decide
-    # every proposal, as in the reference.
+    # A NaN, infinite or huge coefficient: the samples match the reference,
+    # and where |f| is NaN or beyond eta everywhere the budget runs out.
     f = Poly.from_terms(2, 2, {(2, 0): bad, (1, 0): 1.0, (0, 1): -1.0})
-    assert f._horner.bound == np.inf
     for eta in (1e-3, 1.0):
         cfg = SamplerConfig(seed=3, target_m=20, eta=eta, max_proposals=5000)
-        got = screened_direct_sample(f, cfg)
-        assert got == reference_direct_sample(f, cfg)
+        assert sampled(f, cfg) == reference_direct_sample(f, cfg)
     with pytest.raises(ProposalBudgetError) as err:
         direct_sample(f, SamplerConfig(seed=3, target_m=20, max_proposals=5000))
     assert err.value.proposals == 5000
