@@ -22,6 +22,7 @@ from conftest import (
     basis_order_sum,
     broadcast_evaluate,
     broadcast_monomials,
+    evaluate_error_bound,
     singular_circle_points,
 )
 
@@ -237,14 +238,10 @@ def _check_kernel_equivalence(n, degree, m, seed, cuts, rows):
     assert _same_bits(table, broadcast_monomials(pts, basis.exponent_array))
     U = vandermonde(PointCloud(pts), basis)
     assert _same_bits(U, table)
-    # evaluate runs the Horner form, within gamma_(2D+n) S of f on the cube
-    # (S = sum |c_k|); the power-and-sum references are within
-    # gamma_(9n+N) S, counting each np.power factor, taken within 4 ulp, as
-    # 8 operations. So they differ by less than 1.02 u (N + 10n + 2D) S,
-    # u = 2^-53, and the bound below is more than 2^12 times that. The
-    # values keep a 2^10 margin under it.
+    # evaluate keeps a 2^10 margin under its accuracy bound against the
+    # power-and-sum references.
     values = f.evaluate(pts)
-    bound = 2.0**-40 * (len(basis) + 11 * n + 2 * degree + 1) * np.abs(f.coeffs).sum()
+    bound = evaluate_error_bound(f)
     for reference in (broadcast_evaluate(f, pts), basis_order_sum(U, f.coeffs)):
         assert np.abs(values - reference).max(initial=0.0) <= 2.0**-10 * bound
     grads = f.gradient(pts)

@@ -13,6 +13,8 @@ from varietyfit.polynomials import Poly, enumerate_monomials
 from varietyfit.rng import make_rng
 from varietyfit.sampling import ProposalBudgetError, SamplerConfig, direct_sample
 
+from conftest import broadcast_evaluate, evaluate_error_bound
+
 XMY = Poly.from_terms(2, 1, {(1, 0): 1.0, (0, 1): -1.0})
 
 
@@ -208,6 +210,20 @@ def test_eta_tied_to_a_proposal_value_is_decided_exactly(inside):
     assert got == reference_direct_sample(f, cfg)
     accepted = np.frombuffer(got[1]).reshape(-1, 3)
     assert any(np.array_equal(p, proposals[tie]) for p in accepted) == inside
+
+
+@pytest.mark.parametrize("n,degree", [(1, 9), (2, 6), (3, 3), (3, 5), (4, 5), (5, 4)])
+def test_horner_bound_margin(n, degree):
+    # direct_sample accepts proposals by the Horner form's value; on 10^5
+    # points of a unit-norm polynomial, N <= 126, its gap to the
+    # power-and-sum value keeps a 2^10 margin under the accuracy bound.
+    basis = enumerate_monomials(n, degree)
+    rng = np.random.default_rng(n * 10 + degree)
+    f = Poly(basis, rng.standard_normal(len(basis))).normalized()
+    points = rng.random((10**5, n))
+    gap = np.abs(f.evaluate(points) - broadcast_evaluate(f, points))
+    assert len(basis) <= 126
+    assert gap.max() <= evaluate_error_bound(f) * 2.0**-10
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
