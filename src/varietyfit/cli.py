@@ -96,10 +96,12 @@ _GENERATORS = {
 
 
 def _check_generator_flags(args) -> None:
-    # Refused before anything is written: an empty cloud, and a flag the
-    # kind's generator does not read (it would be ignored).
+    # Refused before anything is written: an empty cloud, a cloud over the
+    # dense budget (every generator's is 3-d), and a flag the kind's
+    # generator does not read (it would be ignored).
     if args.m < 1:
         raise ValueError(f"--m must be at least 1, got {args.m}")
+    check_dense_budget(args.m, 3, "cloud")
     if args.kind == "sphere-plane-singular" and args.sigma != 0:
         raise ValueError("--sigma does not apply to sphere-plane-singular, which is noise-free")
     if args.kind != "sphere-plane" and args.plane_fraction != 0.5:

@@ -43,7 +43,11 @@ class CloudFormatError(ValueError):
 
 @dataclass(frozen=True)
 class NormalizationRecord:
-    """Per-axis affine map taking raw coordinates into [0, 1]."""
+    """Per-axis affine map taking raw coordinates into [0, 1].
+
+    A zero or non-finite scale, which would collapse an axis or make
+    ``invert`` divide by zero, is refused (ValueError naming the axis).
+    """
 
     scale: np.ndarray
     offset: np.ndarray
@@ -53,6 +57,12 @@ class NormalizationRecord:
             v = np.array(getattr(self, name), dtype=float)
             v.setflags(write=False)
             object.__setattr__(self, name, v)
+        bad = np.flatnonzero(~np.isfinite(self.scale) | (self.scale == 0.0))
+        if bad.size:
+            raise ValueError(
+                f"normalization scale {self.scale[bad[0]]} on axis {bad[0]} "
+                "must be finite and nonzero"
+            )
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         return points * self.scale + self.offset
@@ -102,13 +112,22 @@ def normalize_to_unit_cube(cloud: PointCloud) -> tuple[PointCloud, Normalization
     Returns the mapped cloud and the affine record, whose ``invert`` takes
     points back to raw coordinates. Rounding can carry an axis maximum one
     ulp past 1; the result is clipped to [0, 1], so it lies in the cube
-    exactly.
+    exactly. An axis whose width overflows float64 is refused (ValueError
+    naming the axis).
     """
     if cloud.m == 0:
         raise ValueError("cannot normalize an empty cloud")
     lo = cloud.points.min(axis=0)
     hi = cloud.points.max(axis=0)
-    spread = hi - lo
+    with np.errstate(over="ignore"):
+        spread = hi - lo
+    bad = np.flatnonzero(~np.isfinite(spread))
+    if bad.size:
+        j = bad[0]
+        raise ValueError(
+            f"axis {j} spans [{lo[j]:.6g}, {hi[j]:.6g}], a width that overflows "
+            "float64; rescale the data before normalizing"
+        )
     degenerate = spread == 0.0
     scale = 1.0 / np.where(degenerate, 1.0, spread)
     offset = np.where(degenerate, 0.5 - lo, -lo * scale)

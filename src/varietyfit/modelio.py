@@ -191,7 +191,10 @@ def load_model(path) -> ModelFile:
                 "normalization",
                 f"must be null or hold 'scale' and 'offset', {n} finite numbers each",
             )
-        record = NormalizationRecord(scale=scale, offset=offset)
+        try:
+            record = NormalizationRecord(scale=scale, offset=offset)
+        except ValueError as exc:
+            raise bad("normalization", f"is refused: {exc}") from None
     return ModelFile(
         poly=Poly(basis, coefficients),
         degree=doc["degree"],

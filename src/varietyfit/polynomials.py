@@ -9,13 +9,15 @@ models reproducible across runs.
 
 All types are immutable after construction and all operations are pure.
 
-One kernel evaluates a polynomial: its nested Horner form (``_Horner``),
-about two elementwise in-place ufunc calls per term on preallocated
-buffers, with no ``np.power`` and no BLAS. ``Poly.evaluate`` runs it on
-the coefficients, ``Poly.gradient`` on each partial derivative's, and the
+Monomials are computed by elementwise, correctly rounded ``np.multiply``
+and ``np.add`` calls on preallocated buffers, and by nothing else: no
+power function and no BLAS, so no bit depends on the CPU numpy dispatches
+to. A polynomial is evaluated by its nested Horner form (``_Horner``),
+about two in-place calls per term. ``Poly.evaluate`` runs it on the
+coefficients, ``Poly.gradient`` on each partial derivative's, and the
 direct sampler on every proposal; its bits define every seeded sample and
-filter. Fitting's monomial table (``monomials``) is built separately, from
-``np.power`` factors, and its bits define every seeded fit.
+filter. Fitting's monomial table (``monomials``) is a product tree, one
+multiplication per monomial, and its bits define every seeded fit.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ __all__ = [
     "sum_of_squares",
 ]
 
-# Rows processed per block by evaluate, gradient and monomials, to bound
-# the size of their buffers. Results do not depend on it.
+# Rows processed per block by evaluate and gradient, to bound the size of
+# their buffers. Results do not depend on it.
 _EVAL_CHUNK = 8192
 
 UNIT_NORM_TOL = 1e-12
@@ -87,11 +89,18 @@ class MonomialBasis:
         return arr
 
     @cached_property
-    def _factors(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per monomial, its nonzero factors (j, alpha_j) in variable order."""
-        return tuple(
-            tuple((j, a) for j, a in enumerate(alpha) if a) for alpha in self.exponents
-        )
+    def _parents(self) -> tuple[tuple[int, int, int], ...]:
+        """The product tree of the monomial table, in ascending degree.
+
+        One (k, parent, j) per non-constant monomial: x^alpha_k is
+        x^alpha_parent * x_j, where j is the last variable alpha_k uses.
+        """
+        out = []
+        for k in range(len(self) - 2, -1, -1):
+            alpha = self.exponents[k]
+            j = max(i for i, a in enumerate(alpha) if a)
+            out.append((k, self.index(alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]), j))
+        return tuple(out)
 
     @cached_property
     def _index(self) -> dict[tuple[int, ...], int]:
@@ -309,55 +318,20 @@ def _evaluate(programs, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _powers(points, keys) -> dict[tuple[int, int], np.ndarray]:
-    # x_j^a as a contiguous vector for each factor (j, a) in keys: x_j^1 is
-    # x_j itself, powers of 2 and up come from np.power with an array
-    # exponent.
-    cols = np.ascontiguousarray(np.asarray(points, dtype=float).T)
-    m = cols.shape[1]
-    # The exponent must be an array, not a scalar: a scalar 2 takes numpy's
-    # squaring fast path, which differs from pow() in the last bit at about
-    # 5% of uniform points in [0, 1), and repeated multiplication x*x*x
-    # differs from pow() at about 26% (numpy 2.4 on AVX-512, where its
-    # vectorized pow is not correctly rounded). Either would change the
-    # monomials' bits, and with them every seeded fit.
-    return {
-        (j, a): cols[j] if a == 1 else np.power(cols[j], np.full(m, float(a)))
-        for j, a in keys
-    }
-
-
-def _monomial(powers, factors: tuple[tuple[int, int], ...], out: np.ndarray):
-    # x^alpha as the product of its nonzero factors in variable order: 1.0
-    # for the constant monomial, the power vector itself for a single
-    # factor, otherwise `out`, which receives the product.
-    if not factors:
-        return 1.0
-    if len(factors) == 1:
-        return powers[factors[0]]
-    np.multiply(powers[factors[0]], powers[factors[1]], out)
-    for key in factors[2:]:
-        np.multiply(out, powers[key], out)
-    return out
-
-
 def monomials(points: np.ndarray, basis: MonomialBasis) -> np.ndarray:
     """Monomial table M[i, k] = x_i^alpha_k of (m, n) points, shape (m, N).
 
-    Column k is +0.0 + x^alpha_k, with x^alpha_k the product of its
-    ``np.power`` factors in variable order: x^alpha_k bit for bit, except
-    that a -0.0 product becomes +0.0. Each row depends on that row alone.
+    Built by the basis's product tree (``MonomialBasis._parents``): the
+    constant column is 1, and every other column is its parent column times
+    one variable. So x^alpha is 1 multiplied by x_1 alpha_1 times, then by
+    x_2 alpha_2 times, and so on, each product correctly rounded; each row
+    depends on that row alone.
     """
-    pts = np.asarray(points, dtype=float)
-    out = np.zeros((len(basis), pts.shape[0]))
-    keys = {key for factors in basis._factors for key in factors}
-    for start in range(0, pts.shape[0], _EVAL_CHUNK):
-        stop = start + _EVAL_CHUNK
-        block = pts[start:stop]
-        powers = _powers(block, keys)
-        mono = np.empty(block.shape[0])
-        for row, factors in zip(out, basis._factors):
-            np.add(row[start:stop], _monomial(powers, factors, mono), row[start:stop])
+    cols = np.ascontiguousarray(np.asarray(points, dtype=float).T)
+    out = np.empty((len(basis), cols.shape[1]))
+    out[-1] = 1.0
+    for k, parent, j in basis._parents:
+        np.multiply(out[parent], cols[j], out[k])
     return np.ascontiguousarray(out.T)
 
 

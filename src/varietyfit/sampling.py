@@ -82,11 +82,18 @@ def direct_sample(f: Poly, cfg: SamplerConfig, full_output: bool = False):
     Every returned point satisfies the threshold strictly. full_output=True
     also returns a dict with the proposal count and the acceptance rate. A
     target_m x n sample over the dense budget is refused before anything
-    is drawn. Raises ProposalBudgetError when the budget runs out, which
+    is drawn, and so is a nonzero constant f with |f| >= eta, whose band
+    is empty. Raises ProposalBudgetError when the budget runs out, which
     usually signals an eta too small for the budget.
     """
     n = f.basis.n
     check_dense_budget(cfg.target_m, n, "sample")
+    constant = float(f.coeffs[-1])
+    if not f.coeffs[:-1].any() and abs(constant) >= cfg.eta:
+        raise ValueError(
+            f"the model is the constant {constant:.6g}, so its band |f| < eta = "
+            f"{cfg.eta:.6g} is empty"
+        )
     rng = make_rng(cfg.seed)
     points = np.empty((cfg.target_m, n))
     kernels = {}  # block length -> (column buffer, Horner kernel)

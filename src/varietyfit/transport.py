@@ -125,12 +125,23 @@ def _cost_matrix(a: PointCloud, b: PointCloud, out: np.ndarray | None = None) ->
     """Dense (m, m') squared-distance matrix, refused over the budget.
 
     With out, the matrix is written into that (m, m') float64 buffer.
+    Clouds whose joint bounding box has a squared diagonal that overflows
+    float64 are refused too, before any pairwise distance is computed.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if a.m == 0 or b.m == 0:
         raise ValueError("cannot transport an empty cloud")
     check_dense_budget(a.m, b.m, "cost matrix")
+    lo = np.minimum(a.points.min(axis=0), b.points.min(axis=0))
+    hi = np.maximum(a.points.max(axis=0), b.points.max(axis=0))
+    with np.errstate(over="ignore"):
+        diagonal = float(np.square(hi - lo).sum())
+    if not math.isfinite(diagonal):
+        raise ValueError(
+            f"the clouds' coordinates range over [{lo.min():.6g}, {hi.max():.6g}], "
+            "so squared distances between them overflow float64; rescale the clouds"
+        )
     return cdist(a.points, b.points, metric="sqeuclidean", out=out)
 
 

@@ -56,6 +56,35 @@ def broadcast_monomials(points: np.ndarray, exps: np.ndarray) -> np.ndarray:
     return np.prod(points[:, None, :] ** exps[None, :, :], axis=2)
 
 
+def sequential_monomials(points: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """(m, N) table of x^alpha by repeated multiplication, left to right.
+
+    Column k starts from ones and is multiplied by x_0 alpha_0 times, then
+    by x_1 alpha_1 times, and so on: the package table's product order,
+    computed without its product tree.
+    """
+    out = np.ones((points.shape[0], exps.shape[0]))
+    for k, alpha in enumerate(exps):
+        for j, a in enumerate(alpha):
+            for _ in range(a):
+                out[:, k] *= points[:, j]
+    return out
+
+
+def monomial_error_bound(n: int, degree: int) -> float:
+    """A bound on |table - broadcast| / |broadcast| for the monomial table.
+
+    The table multiplies at most D factors, each product correctly rounded,
+    so it is within gamma_D |x^alpha| of x^alpha, gamma_k = k u / (1 - k u)
+    and u = 2^-53. broadcast_monomials takes n pow() factors, each within
+    4 ulp (8 u relative), and multiplies them in n - 1 rounded products: it
+    is within gamma_(9n) |x^alpha|. Barring underflow, the two differ by at
+    most (gamma_D + gamma_(9n)) / (1 - gamma_(9n)) times |broadcast|, which
+    is below 1.01 u (D + 9n); this bound is twice u (D + 9n).
+    """
+    return 2.0**-52 * (degree + 9 * n)
+
+
 def basis_order_sum(table: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """sum_k c_k * table[:, k] over the nonzero c_k, added left to right.
 

@@ -334,6 +334,22 @@ REFUSED_INPUTS = [
                                           "--drop-tol", -1, "-o", "x.sing"], "drop_tol"),
     ("export-algebra-drop-tol-nan", ["export-algebra", "--model", "sphere.json",
                                      "--drop-tol", "nan", "-o", "x.sing"], "drop_tol"),
+    # A generated cloud over the budget, before it is allocated.
+    ("gen-m-over-budget", ["gen", "sphere-plane", "--m", 10**10, "--seed", 1, "-o", "x.csv"],
+     "10000000000 x 3 cloud needs 240000000000 bytes"),
+    # An axis whose width overflows would normalize to a zero scale.
+    ("fit-normalize-overflow", ["fit", "-i", "wide.csv", "-D", 1, "--normalize",
+                                "-o", "model.json"], "axis 0 spans [-1e+308, 1e+308]"),
+    # A nonzero constant's band is empty: refused before any proposal.
+    ("sample-constant-model", ["sample", "--model", "const.json", "--m", 1600, "--seed", 1,
+                               "-o", "x.csv"], "the model is the constant 1"),
+    # Squared distances that overflow, for either solver.
+    ("compare-overflow-equal-sizes", ["compare", "--input-a", "far_a.csv", "--input-b",
+                                      "far_b.csv", "-o", "m.json"],
+     "squared distances between them overflow"),
+    ("compare-overflow-unequal-sizes", ["compare", "--input-a", "far_a.csv", "--input-b",
+                                        "far_tiny.csv", "-o", "m.json"],
+     "squared distances between them overflow"),
 ]
 
 
@@ -347,6 +363,13 @@ def test_refused_input_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys,
     save_cloud(gen_sphere_plane(25, 0.5, seed=4), tmp_path / "tiny.csv")
     save_model(ModelFile.from_fit(fit_map(gen_sphere_plane(300, 0.5, seed=15), 3)),
                tmp_path / "sphere.json")
+    save_cloud(PointCloud([[1e308, 0.5, 0.5], [-1e308, 0.2, 0.1], [0.0, 0.9, 0.3]]),
+               tmp_path / "wide.csv")
+    save_model(ModelFile.from_fit(fit_map(gen_sphere_plane(25, 0.5, seed=4), 0)),
+               tmp_path / "const.json")
+    for name, m, seed in (("far_a", 60, 1), ("far_b", 60, 2), ("far_tiny", 25, 4)):
+        save_cloud(PointCloud(1e200 * gen_sphere_plane(m, 0.5, seed=seed).points),
+                   tmp_path / f"{name}.csv")
     before = sorted(tmp_path.iterdir())
     capsys.readouterr()
     assert run(*argv) == 2
@@ -717,6 +740,9 @@ MALFORMED_MODELS = [
     ("normalization-nan", _set("normalization", {"scale": [1, 1, float("nan")],
                                                  "offset": [0, 0, 0]}), "'normalization'"),
     ("normalization-list", _set("normalization", [1, 1, 1]), "'normalization'"),
+    ("normalization-zero-scale", _set("normalization", {"scale": [1, 0, 1],
+                                                        "offset": [0, 0, 0]}),
+     "'normalization' is refused: normalization scale 0.0 on axis 1"),
     ("kind-unknown", _set("kind", "banana"), "'kind'"),
     ("kind-list", _set("kind", ["map"]), "'kind'"),
     ("degree-disagrees", _set("degree", 7), "'degree'"),

@@ -276,6 +276,19 @@ def test_normalize_round_trip_and_degenerate_axis():
         normalize_to_unit_cube(PointCloud(np.empty((0, 2))))
 
 
+def test_normalize_refuses_an_axis_whose_width_overflows():
+    # hi - lo is inf, so the scale would be 0 and every point the origin.
+    pts = np.array([[0.5, 1e308], [0.25, -1e308], [0.0, 0.0]])
+    with pytest.raises(ValueError, match=r"axis 1 spans \[-1e\+308, 1e\+308\]"):
+        normalize_to_unit_cube(PointCloud(pts))
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.0, np.inf, np.nan])
+def test_normalization_record_refuses_a_zero_or_non_finite_scale(bad):
+    with pytest.raises(ValueError, match="on axis 2 must be finite and nonzero"):
+        NormalizationRecord(scale=[1.0, -2.0, bad], offset=[0.0, 0.0, 0.0])
+
+
 # ---------------------------------------------------------------------- noise
 
 
@@ -328,7 +341,8 @@ def model_files(draw):
     degree = draw(st.integers(0, 4 // MODEL_KINDS[kind]))
     basis = enumerate_monomials(n, MODEL_KINDS[kind] * degree)
     vectors = st.lists(FINITE, min_size=n, max_size=n)
-    normalization = draw(st.none() | st.builds(NormalizationRecord, vectors, vectors))
+    scales = st.lists(FINITE.filter(bool), min_size=n, max_size=n)
+    normalization = draw(st.none() | st.builds(NormalizationRecord, scales, vectors))
     return ModelFile(
         poly=Poly(basis, draw(st.lists(FINITE, min_size=len(basis), max_size=len(basis)))),
         degree=degree,

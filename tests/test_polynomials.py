@@ -23,6 +23,8 @@ from conftest import (
     broadcast_evaluate,
     broadcast_monomials,
     evaluate_error_bound,
+    monomial_error_bound,
+    sequential_monomials,
     singular_circle_points,
 )
 
@@ -229,13 +231,23 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.flags.c_contiguous and a.tobytes() == b.tobytes()
 
 
+def _check_table(table, pts, basis):
+    # The table's bits are the left-to-right products of its factors, and
+    # it is within its accuracy bound of the power-and-product reference.
+    exps = basis.exponent_array
+    assert _same_bits(table, sequential_monomials(pts, exps))
+    reference = broadcast_monomials(pts, exps)
+    bound = monomial_error_bound(basis.n, basis.degree)
+    assert (np.abs(table - reference) <= bound * np.abs(reference)).all()
+
+
 def _check_kernel_equivalence(n, degree, m, seed, cuts, rows):
     rng = np.random.default_rng(seed)
     basis = enumerate_monomials(n, degree)
     f = Poly(basis, rng.standard_normal(len(basis)))
     pts = rng.random((m, n))
     table = monomials(pts, basis)
-    assert _same_bits(table, broadcast_monomials(pts, basis.exponent_array))
+    _check_table(table, pts, basis)
     U = vandermonde(PointCloud(pts), basis)
     assert _same_bits(U, table)
     # evaluate keeps a 2^10 margin under its accuracy bound against the
@@ -266,9 +278,10 @@ def _check_kernel_equivalence(n, degree, m, seed, cuts, rows):
 )
 def test_monomial_kernel_matches_broadcast_reference(n, degree, m, seed):
     # The table and vandermonde agree bit for bit with the independent
-    # broadcast kernel; evaluate is within its accuracy bound of the
-    # broadcast and basis-order sums; gradient agrees bit for bit with the
-    # derivative polynomials; and evaluate and gradient agree with
+    # sequential products, and within their bound of the broadcast powers;
+    # evaluate is within its accuracy bound of the broadcast and
+    # basis-order sums; gradient agrees bit for bit with the derivative
+    # polynomials; and evaluate and gradient agree with
     # themselves split at every cut offset up to 32 (every residue mod 4,
     # 8, 16 and 32, where a blocked matrix-vector product would sum in
     # another order) and row by row
@@ -296,13 +309,15 @@ def test_monomial_kernel_across_block_boundary(n, degree):
     [(1, 0, 5), (1, 1, 5), (1, 6, 300), (3, 0, 17), (2, 4, 0), (1, 0, 0), (5, 5, 0), (4, 3, 2)],
 )
 def test_monomial_table_equals_broadcast_reference(n, degree, m):
-    # The table itself, and vandermonde's copy of it, bit for bit; includes
-    # one variable, the constant-only basis and an empty stack of points.
+    # The table itself, against the sequential products bit for bit and
+    # the broadcast powers within its bound, and vandermonde's copy of it;
+    # includes one variable, the constant-only basis and an empty stack of
+    # points.
     basis = enumerate_monomials(n, degree)
     pts = np.random.default_rng(100 * n + degree).random((m, n))
     table = monomials(pts, basis)
     assert table.shape == (m, len(basis))
-    assert _same_bits(table, broadcast_monomials(pts, basis.exponent_array))
+    _check_table(table, pts, basis)
     if m:
         assert _same_bits(vandermonde(PointCloud(pts), basis), table)
     if degree == 0:
@@ -315,8 +330,8 @@ def test_monomial_table_equals_broadcast_reference(n, degree, m):
 # Points at which numpy's scalar-exponent fast path (x ** 2.0, i.e. x * x)
 # and repeated multiplication (x * x * x) differ from pow() with an array
 # exponent on AVX-512 hardware, where numpy's vectorized pow is not
-# correctly rounded. The table must carry pow()'s bits, so a kernel that
-# squares or multiplies instead fails here.
+# correctly rounded. The table must carry the products' bits, so a kernel
+# that takes pow() instead fails here.
 POW_EDGE_POINTS = np.array([
     float.fromhex(h)
     for h in (
@@ -330,18 +345,12 @@ POW_EDGE_POINTS = np.array([
 ])
 
 
-def test_monomial_powers_use_array_exponent_pow():
-    x = POW_EDGE_POINTS
+def test_monomial_table_multiplies():
+    x, y = POW_EDGE_POINTS, POW_EDGE_POINTS[::-1]
     basis = enumerate_monomials(2, 3)
-    pts = np.column_stack([x, x[::-1]])
-    table = monomials(pts, basis)
-    for alpha in ((2, 0), (3, 0), (0, 2), (0, 3)):
-        j = 0 if alpha[0] else 1
-        expected = np.power(pts[:, j], np.full(len(x), float(sum(alpha))))
-        assert table[:, basis.index(alpha)].tobytes() == expected.tobytes()
-    assert table[:, basis.index((2, 1))].tobytes() == (
-        np.power(x, np.full(len(x), 2.0)) * x[::-1]
-    ).tobytes()
+    table = monomials(np.column_stack([x, y]), basis)
+    assert table[:, basis.index((3, 0))].tobytes() == (x * x * x).tobytes()
+    assert table[:, basis.index((2, 1))].tobytes() == (x * x * y).tobytes()
 
 
 def test_pow_edge_points_separate_pow_from_multiplication():

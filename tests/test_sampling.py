@@ -22,10 +22,12 @@ def reference_direct_sample(f, cfg):
     """The direct sampler through ``Poly.evaluate``, block by block.
 
     Every proposal's value in 8192-proposal blocks. Returns (points, stats)
-    on success and ("budget", partial points, proposals) when the budget
-    runs out.
+    on success, ("budget", partial points, proposals) when the budget
+    runs out, and ("empty band",) for a constant f with |f| >= eta.
     """
     n = f.basis.n
+    if not f.coeffs[:-1].any() and abs(f.coeffs[-1]) >= cfg.eta:
+        return ("empty band",)
     rng = make_rng(cfg.seed)
     chunks, collected, used, finish = [], 0, 0, None
     while used < cfg.budget and collected < cfg.target_m:
@@ -54,6 +56,9 @@ def sampled(f, cfg):
         cloud, info = direct_sample(f, cfg, full_output=True)
     except ProposalBudgetError as err:
         return "budget", err.accepted.points.tobytes(), err.proposals
+    except ValueError as err:
+        assert "band |f| < eta" in str(err) and "is empty" in str(err)
+        return ("empty band",)
     return cloud.points.tobytes(), info
 
 
@@ -119,6 +124,27 @@ def test_budget_error_carries_partial_result():
     assert accepted.m < 10_000
     if accepted.m:
         assert (np.abs(accepted.points[:, 0] - accepted.points[:, 1]) < 1e-7).all()
+
+
+def test_constant_with_empty_band_is_refused_before_any_draw(monkeypatch):
+    # |c| >= eta: no proposal can pass, so nothing is drawn. A zero f, a
+    # constant inside the band and a nonzero higher term still sample.
+    def no_draw(seed):
+        raise AssertionError("drew proposals")
+
+    monkeypatch.setattr(sampling, "make_rng", no_draw)
+    cfg = SamplerConfig(seed=1, target_m=1600, eta=1e-3)
+    for f in (Poly(enumerate_monomials(3, 0), [1.0]),
+              Poly.from_terms(2, 2, {(0, 0): -1e-3})):
+        with pytest.raises(ValueError, match="the model is the constant .* is empty"):
+            direct_sample(f, cfg)
+    monkeypatch.undo()
+    small = SamplerConfig(seed=1, target_m=50, eta=1e-3, max_proposals=50)
+    for f in (Poly(enumerate_monomials(2, 2), np.zeros(6)),
+              Poly(enumerate_monomials(3, 0), [1e-4])):
+        assert direct_sample(f, small).m == 50
+    with pytest.raises(ProposalBudgetError):
+        direct_sample(Poly.from_terms(2, 1, {(1, 0): 1e-9, (0, 0): 1.0}), small)
 
 
 def test_eta_monotonicity_on_fixed_stream():
