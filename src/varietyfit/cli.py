@@ -219,40 +219,73 @@ def _refuse_reg_if_exact(exact: bool, reg) -> None:
         raise ValueError("--reg sets Sinkhorn's regularization; equal-size clouds are solved exactly")
 
 
-def _compare(a: PointCloud, b: PointCloud, reg):
-    """Transport plan from a to b: exact for equal sizes, Sinkhorn otherwise.
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
-    A Sinkhorn solve cut short raises.
+
+@functools.cache
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The process's one executor with this many threads, made on first use."""
+    return ThreadPoolExecutor(workers, thread_name_prefix=f"varietyfit-transport-{workers}")
+
+
+def _transports(pairs, reg) -> list[dict]:
+    """Distance and diagnostics of the transport from a to b for each
+    (a, b) in pairs, in pair order; every command's transports go here.
+
+    Equal sizes are solved exactly, others by Sinkhorn at reg, which is
+    refused if any pair is exact. Exact solves release the GIL, so an
+    all-exact list runs on up to one thread per usable CPU; Sinkhorn solves
+    each hold several dense matrices, so any other list runs one at a time.
+    A Sinkhorn solve cut short raises _NotConverged. Every solve is waited
+    for before the first error in pair order is raised. The solvers are
+    looked up in this module at call time, so a wrapper on
+    cli.wasserstein_* (a tracer, a test double) still sees each call.
     """
-    if a.m == b.m:
-        return wasserstein_exact(a, b)
-    plan = wasserstein_sinkhorn(a, b, reg=reg)
-    if not plan.converged:
-        raise _NotConverged(
-            f"sinkhorn did not converge in {plan.iterations} iterations "
-            f"(marginal error {plan.marginal_error:.3e})"
-        )
-    return plan
+    exact = [a.m == b.m for a, b in pairs]
+    _refuse_reg_if_exact(any(exact), reg)
 
+    def transport(a, b):
+        # No plan is kept: it would hold its dense coupling until every
+        # pair is done.
+        if a.m == b.m:
+            plan = wasserstein_exact(a, b)
+        else:
+            plan = wasserstein_sinkhorn(a, b, reg=reg)
+            if not plan.converged:
+                raise _NotConverged(
+                    f"sinkhorn did not converge in {plan.iterations} iterations "
+                    f"(marginal error {plan.marginal_error:.3e})"
+                )
+        return {
+            "wasserstein": plan.cost,
+            "method": plan.method,
+            "iterations": plan.iterations,
+            "marginal_error": plan.marginal_error,
+            "omega": plan.omega,
+        }
 
-def _transport_diagnostics(plan) -> dict:
-    # Why a distance came out as it did: solver, iterations, the marginal
-    # error it stopped at and Sinkhorn's final over-relaxation factor.
-    return {
-        "method": plan.method,
-        "iterations": plan.iterations,
-        "marginal_error": plan.marginal_error,
-        "omega": plan.omega,
-    }
+    # The pool lives as long as the process. Once glibc's mmap threshold has
+    # grown past a freed cost matrix, later ones come from the threads'
+    # malloc arenas, which keep freed pages resident; a pool per call starts
+    # fresh threads on fresh arenas, and repeated in-process sweeps at
+    # m = 1600 could then hold an extra 20 MB matrix or two.
+    pool = _pool(min(len(pairs), _usable_cpus()) if all(exact) else 1)
+    futures = [pool.submit(transport, a, b) for a, b in pairs]
+    wait(futures)
+    return [future.result() for future in futures]
 
 
 def cmd_compare(args) -> dict:
     a = load_cloud(args.input_a, header=args.header)
     b = load_cloud(args.input_b, header=args.header)
-    _refuse_reg_if_exact(a.m == b.m, args.reg)
-    plan = _compare(a, b, args.reg)
-    print(f"wasserstein {plan.cost:.6f} ({plan.method})")
-    results = {"distance": plan.cost} | _transport_diagnostics(plan)
+    (result,) = _transports([(a, b)], args.reg)
+    distance = result.pop("wasserstein")
+    print(f"wasserstein {distance:.6f} ({result['method']})")
+    results = {"distance": distance} | result
     with open(args.output, "w", encoding="utf-8") as fh:
         json.dump(results, fh, indent=2)
         fh.write("\n")
@@ -269,26 +302,13 @@ def cmd_export_algebra(args) -> dict:
     return {"scale": rational.scale}
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
-@functools.cache
-def _pool(workers: int) -> ThreadPoolExecutor:
-    """The process's one executor with this many threads, made on first use."""
-    return ThreadPoolExecutor(workers, thread_name_prefix=f"varietyfit-transport-{workers}")
-
-
 def cmd_pipeline(args) -> dict:
     _check_generator_flags(args)
     degrees = [int(d) for d in args.degrees.split(",")]
     if min(degrees) < 0 or len(set(degrees)) < len(degrees):
         raise ValueError(f"--degrees must be distinct and >= 0, got {args.degrees}")
-    # Sampler and filter settings are checked here, before anything is
-    # written; each degree's sampler differs from this one by its seed only.
+    # Sampler and filter settings are checked here, before any fit; each
+    # degree's sampler differs from this one by its seed only.
     sampler = SamplerConfig(
         seed=args.seed,
         target_m=args.m,
@@ -300,7 +320,7 @@ def cmd_pipeline(args) -> dict:
     reference = load_cloud(args.reference, header=args.header) if args.reference else None
     # Each transport's cost matrix is the reference's size by --m, since
     # every resample has exactly --m points: refused before the cloud is
-    # generated or anything is written.
+    # generated.
     check_dense_budget(args.m if reference is None else reference.m, args.m, "cost matrix")
     cloud = _GENERATORS[args.kind](args.m, args.seed, args.sigma, args.plane_fraction)
     if reference is not None:
@@ -313,39 +333,31 @@ def cmd_pipeline(args) -> dict:
         reference = _GENERATORS[args.kind](args.m, args.seed, 0.0, args.plane_fraction)
     else:
         reference = cloud
-    # Every resample has exactly --m points, so the cloud sizes pick one
-    # solver for all degrees: exact transports are independent and release
-    # the GIL, so they run on up to one thread per usable CPU; Sinkhorn ones,
-    # which each hold several dense matrices, run one at a time.
-    exact = reference.m == args.m
-    _refuse_reg_if_exact(exact, args.reg)
-    workers = min(len(degrees), _usable_cpus()) if exact else 1
-    # Every degree's Vandermonde table and Gram matrix, before anything is
-    # written.
+    # The same sizes pick the solver of every degree's transport, so a
+    # --reg that an exact sweep would refuse, and every degree's
+    # Vandermonde table and Gram matrix, are checked before any fit.
+    _refuse_reg_if_exact(reference.m == args.m, args.reg)
     for degree in degrees:
         check_fit_budget(cloud.m, cloud.dim, degree)
 
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    save_cloud(cloud, outdir / "omega.csv")
-    save_cloud(reference, outdir / "reference.csv")
-
-    # Fit, sample and filter in degree order; then solve the transports.
-    # Rows get their distance and transport diagnostics at the end.
-    rows, resamples = [], []
+    # Compute, transport, then write: a run that fails at any stage writes
+    # nothing. Rows get their distance and transport diagnostics once
+    # every transport is done.
+    outputs = [(save_cloud, cloud, "omega.csv"), (save_cloud, reference, "reference.csv")]
+    rows, pairs = [], []
     for degree in degrees:
         fit = fit_map(cloud, degree)
         model = ModelFile.from_fit(fit, seed=args.seed)
-        save_model(model, outdir / f"model_D{degree}.json")
         cfg = dataclasses.replace(sampler, seed=args.seed + 1000 * degree)
         f = model.poly
         resampled, stats = direct_sample(f, cfg, full_output=True)
         _warn_if_band_swallows(stats, f"D={degree}: ")
-        save_cloud(resampled, outdir / f"resampled_D{degree}.csv")
         report = singularity_filter(f, resampled, args.epsilon)
+        outputs.append((save_model, model, f"model_D{degree}.json"))
+        outputs.append((save_cloud, resampled, f"resampled_D{degree}.csv"))
         if report.accepted_count:
-            save_cloud(report.accepted, outdir / f"singular_D{degree}.csv")
-        resamples.append(resampled)
+            outputs.append((save_cloud, report.accepted, f"singular_D{degree}.csv"))
+        pairs.append((reference, resampled))
         rows.append(
             {
                 "D": degree,
@@ -360,30 +372,17 @@ def cmd_pipeline(args) -> dict:
             }
         )
 
-    def transport(resampled):
-        # The distance and diagnostics only: a kept plan would hold its
-        # dense coupling until every degree is done.
-        plan = _compare(reference, resampled, args.reg)
-        return {"wasserstein": plan.cost} | _transport_diagnostics(plan)
-
-    # The pool lives as long as the process. Once glibc's mmap threshold has
-    # grown past a freed cost matrix, later ones come from the threads'
-    # malloc arenas, which keep freed pages resident; a pool per run starts
-    # fresh threads on fresh arenas, and repeated in-process sweeps at
-    # m = 1600 could then hold an extra 20 MB matrix or two. Every future
-    # is waited for, and the first error in degree order raised, before
-    # the run ends.
-    pool = _pool(workers)
-    futures = [pool.submit(transport, resampled) for resampled in resamples]
-    wait(futures)
-    transports = [future.result() for future in futures]
-    for row, result in zip(rows, transports):
+    for row, result in zip(rows, _transports(pairs, args.reg)):
         row.update(result)
         print(
             f"D={row['D']}: lambda={row['lambda']:.3e} kernel_dim={row['kernel_dim']} "
             f"W={row['wasserstein']:.4f} singular={row['singular_count']}"
         )
 
+    outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for save, value, name in outputs:
+        save(value, outdir / name)
     header = ["D", "lambda", "kernel_dim", "wasserstein", "singular_count", "acceptance_rate"]
     with open(outdir / "distances.csv", "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")

@@ -5,18 +5,20 @@ reported as the root of the coupling-weighted mean squared distance. Two
 solvers: the exact assignment solver for equal-size clouds, and entropically
 regularized Sinkhorn scaling (stabilized, kernel-domain, over-relaxed) for
 any sizes, whose cost is reported sharp (without the entropy term). The
-library does not pick between them; the CLI's `compare` and `pipeline` do,
-from the cloud sizes alone: exact for equal sizes, Sinkhorn otherwise.
+library does not pick between them; `cli._transports`, which schedules
+every transport of `compare` and `pipeline`, does, from the cloud sizes
+alone: exact for equal sizes, Sinkhorn otherwise.
 
 The exact solver is scipy's linear_sum_assignment, warm-started with
 approximate dual potentials f, g (the dual initialization of Jonker &
 Volgenant 1987) from a few entropic Sinkhorn sweeps (Cuturi 2013). It
 solves the same assignment problem shifted by row and column constants,
 C_ij - f_i - g_j: every assignment's total moves by the same sum of f and
-g, so the optimal assignments are the same, and the cost is read from the
-unshifted matrix, so it stays exact. The reductions, the kernel, the
-shifted problem and the cost all live in the one (m, m) buffer the cost
-matrix is built in, refilled from the clouds between uses.
+g, so the optimal assignments are the same, and the cost is read off the
+matched pairs' unshifted squared distances, so it stays exact. The
+reductions, the kernel and the shifted problem all live in the one (m, m)
+buffer the cost matrix is built in, refilled once from the clouds before
+the shift.
 
 The sweeps run on a float32 Gibbs kernel held in the first half of that
 float64 buffer, one pass over blocks of WARM_START_ROW_BLOCK rows per
@@ -145,6 +147,20 @@ def _cost_matrix(a: PointCloud, b: PointCloud, out: np.ndarray | None = None) ->
     return cdist(a.points, b.points, metric="sqeuclidean", out=out)
 
 
+def _paired_sqeuclidean(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|x_i - y_i|^2 for each row i of two (m, n) arrays.
+
+    The squared coordinate differences are summed left to right, as
+    cdist's sqeuclidean sums them, so the result is cdist(x, y)[i, i] bit
+    for bit.
+    """
+    d = x - y
+    out = d[:, 0] * d[:, 0]
+    for j in range(1, d.shape[1]):
+        out += d[:, j] * d[:, j]
+    return out
+
+
 def _subtract_duals(C: np.ndarray, f: np.ndarray, g: np.ndarray) -> None:
     """C_ij <- (C_ij - f_i) - g_j in place.
 
@@ -244,10 +260,11 @@ def wasserstein_exact(a: PointCloud, b: PointCloud) -> TransportPlan:
     duals f, g from a few entropic Sinkhorn sweeps (Cuturi 2013; see
     _warm_start_duals): it solves the same assignment problem shifted by
     row and column constants, C_ij - f_i - g_j, which has the same optimal
-    assignments. The cost is then read from the unshifted matrix, so it is
-    exact. All of it happens in the one (m, m) buffer the cost matrix is
-    built in, refilled from the clouds where needed; that buffer is freed
-    before the dense coupling is built, so the two never coexist.
+    assignments. The cost is then read off the matched pairs (see
+    _paired_sqeuclidean), bit for bit the unshifted matrix's, so it is
+    exact. The rest happens in the one (m, m) buffer the cost matrix is
+    built in, refilled once from the clouds before the shift; that buffer
+    is freed before the dense coupling is built, so the two never coexist.
     """
     if a.m != b.m:
         raise ValueError(
@@ -259,9 +276,8 @@ def wasserstein_exact(a: PointCloud, b: PointCloud) -> TransportPlan:
     _cost_matrix(a, b, out=C)
     _subtract_duals(C, f, g)
     rows, cols = linear_sum_assignment(C)
-    _cost_matrix(a, b, out=C)
-    cost = float(np.sqrt(np.mean(C[rows, cols])))
     del C
+    cost = float(np.sqrt(np.mean(_paired_sqeuclidean(a.points[rows], b.points[cols]))))
     coupling = np.zeros((a.m, a.m))
     coupling[rows, cols] = 1.0 / a.m
     return TransportPlan(cost, coupling, "exact-assignment")

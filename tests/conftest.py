@@ -2,18 +2,15 @@
 
 The oracles deliberately use closed forms or dense discretizations rather
 than package code paths, so they stay independent of what they check.
-exact_costs only schedules the package's exact solver.
+exact_costs only calls the package's transport stage.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
+from varietyfit.cli import _transports
 from varietyfit.polynomials import Poly
-from varietyfit.transport import wasserstein_exact
 
 SQRT2 = np.sqrt(2.0)
 
@@ -151,15 +148,6 @@ def distance_to_line(points: np.ndarray, anchor, direction) -> np.ndarray:
 
 
 def exact_costs(pairs) -> list[float]:
-    """wasserstein_exact(a, b).cost for each (a, b) in pairs, in pair order.
-
-    The solves are independent and the assignment solver releases the GIL,
-    so they run on min(#pairs, usable CPUs) threads; each thread keeps only
-    the cost, not the dense coupling.
-    """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        cpus = os.cpu_count() or 1
-    with ThreadPoolExecutor(min(len(pairs), cpus)) as pool:
-        return list(pool.map(lambda pair: wasserstein_exact(*pair).cost, pairs))
+    """The exact distance of each equal-size (a, b) in pairs, in pair order,
+    solved concurrently by the CLI's transport stage."""
+    return [result["wasserstein"] for result in _transports(pairs, None)]

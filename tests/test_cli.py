@@ -5,6 +5,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varietyfit import cli, transport
 from varietyfit.cli import main
@@ -567,6 +569,50 @@ def test_pipeline_runs_only_exact_transports_concurrently(
     assert [row["method"] for row in table] == [solver] * 3
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    # (m, m') per pair; None makes m' = m, an exact pair.
+    sizes=st.lists(st.tuples(st.integers(2, 9), st.none() | st.integers(2, 9)),
+                   min_size=1, max_size=4),
+    cpus=st.integers(1, 3),
+    reg=st.none() | st.just(0.05),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_transports_equal_one_pair_at_a_time(sizes, cpus, reg, seed):
+    rng = np.random.default_rng(seed)
+    pairs = [(PointCloud(rng.random((m, 2))), PointCloud(rng.random((mp or m, 2))))
+             for m, mp in sizes]
+    exact = [a.m == b.m for a, b in pairs]
+    pools, solves = [], []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_usable_cpus", lambda: cpus)
+        pool = cli._pool
+        patch.setattr(cli, "_pool", lambda n: pools.append(n) or pool(n))
+        for name in ("wasserstein_exact", "wasserstein_sinkhorn"):
+            patch.setattr(cli, name, lambda *args, solve=getattr(cli, name), **kwargs:
+                          solves.append(args) or solve(*args, **kwargs))
+        if reg is not None and any(exact):
+            # Refused before any solve is scheduled.
+            with pytest.raises(ValueError, match="--reg"):
+                cli._transports(pairs, reg)
+            assert pools == [] and solves == []
+            return
+        plans = [wasserstein_exact(a, b) if a.m == b.m else wasserstein_sinkhorn(a, b, reg=reg)
+                 for a, b in pairs]
+        solves.clear()
+        if not all(plan.converged for plan in plans):
+            with pytest.raises(cli._NotConverged):
+                cli._transports(pairs, reg)
+        else:
+            results = cli._transports(pairs, reg)
+            assert [(r["wasserstein"], r["method"], r["iterations"]) for r in results] == [
+                (plan.cost, plan.method, plan.iterations) for plan in plans
+            ]
+    # Only an all-exact list runs concurrently; every pair is solved once.
+    assert pools == [min(len(pairs), cpus) if all(exact) else 1]
+    assert len(solves) == len(pairs)
+
+
 def test_second_pipeline_run_starts_no_threads(tmp_path, monkeypatch):
     # The transport pool lives as long as the process: a second sweep runs
     # its three concurrent exact solves on the first sweep's threads.
@@ -595,8 +641,26 @@ def test_pipeline_transport_error_exits_2_without_manifest(tmp_path, monkeypatch
     assert run("pipeline", "--m", 200, "--seed", 19, "--degrees", "1,2,3",
                "--outdir", outdir) == 2
     assert "injected transport failure" in capsys.readouterr().err
-    assert not (outdir / "manifest.json").exists()
-    assert not (outdir / "distances.csv").exists()
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code, named",
+    [
+        # fit_map at degree 0 is the constant 1, whose band is empty.
+        (["--degrees", "1,0"], 2, "the model is the constant 1"),
+        # At eta = 1e-9, D = 1's band is too thin for 2000 proposals.
+        (["--degrees", "1,3", "--eta", 1e-9, "--max-proposals", 2000], 3, "accepted only"),
+    ],
+    ids=["degree-0", "proposal-budget"],
+)
+def test_pipeline_late_failure_writes_nothing(tmp_path, capsys, argv, code, named):
+    # Each run fails after the cloud is generated and a degree is fitted;
+    # nothing is written until every stage has passed.
+    outdir = tmp_path / "pipe"
+    assert run("pipeline", "--m", 60, "--seed", 1, *argv, "--outdir", outdir) == code
+    assert named in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def _fitted(tmp_path):
@@ -681,8 +745,7 @@ def test_pipeline_nonconvergence_exits_3_without_manifest(tmp_path, monkeypatch,
     assert run("pipeline", "--m", 100, "--seed", 1, "--degrees", "1,3",
                "--reference", reference, "--outdir", outdir) == 3
     assert "did not converge" in capsys.readouterr().err
-    assert not (outdir / "manifest.json").exists()
-    assert not (outdir / "distances.csv").exists()
+    assert not outdir.exists()
 
 
 def _set(key, value):

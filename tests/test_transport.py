@@ -441,6 +441,25 @@ def test_exact_coupling_equals_dense_construction():
         plan.coupling[0] = 0
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_matched_pair_distances_equal_cdist_bit_for_bit(dim):
+    # The exact solver reads its cost off the matched pairs, not off a
+    # cost matrix; each pair's sum must be cdist's, bit for bit, at unit,
+    # large and mixed coordinate scales.
+    rng = np.random.default_rng(40 + dim)
+    for scale in (1.0, 1e6, 10.0 ** rng.uniform(-3, 3, dim)):
+        a = scale * rng.normal(size=(300, dim))
+        b = scale * rng.normal(size=(300, dim)) + rng.random(dim)
+        rows, cols = rng.permutation(300), rng.permutation(300)
+        expected = cdist(a, b, "sqeuclidean")[rows, cols]
+        assert np.array_equal(transport._paired_sqeuclidean(a[rows], b[cols]), expected)
+    cloud_a, cloud_b = PointCloud(rng.random((80, dim))), PointCloud(rng.random((80, dim)))
+    plan = wasserstein_exact(cloud_a, cloud_b)
+    rows, cols = np.nonzero(plan.coupling)
+    C = cdist(cloud_a.points, cloud_b.points, "sqeuclidean")
+    assert plan.cost == float(np.sqrt(np.mean(C[rows, cols])))
+
+
 WARM_START_KINDS = ["uniform", "duplicated", "translate", "collinear", "offset-1e6", "corner"]
 
 
