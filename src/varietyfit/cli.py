@@ -34,7 +34,7 @@ from .cloud import (
 from .datasets import gen_noisy_line, gen_sphere_plane, gen_sphere_plane_singular
 from .fitting import RationalizationError, check_fit_budget, fit_map, rationalize
 from .modelio import ModelFile, export_singular_script, load_model, save_model
-from .sampling import ProposalBudgetError, SamplerConfig, direct_sample
+from .sampling import ProposalBudgetError, SamplerConfig, check_eta, direct_sample
 from .singular import singularity_filter
 from .transport import wasserstein_exact, wasserstein_sinkhorn
 
@@ -183,6 +183,8 @@ def cmd_sample(args) -> dict:
 
 
 def cmd_singular(args) -> dict:
+    if args.eta is not None:
+        check_eta(args.eta)
     model = load_model(args.model)
     f = model.poly
     cloud = load_cloud(args.input, header=args.header)
@@ -202,7 +204,12 @@ def cmd_singular(args) -> dict:
     accepted = PointCloud(cloud.points[report.gradient_norms < args.epsilon])
     save_cloud(accepted, args.output)
     if args.norms_output:
-        np.savetxt(args.norms_output, report.gradient_norms, fmt="%.17g")
+        # Both outputs or neither: the cloud goes if its norms cannot be written.
+        try:
+            np.savetxt(args.norms_output, report.gradient_norms, fmt="%.17g")
+        except OSError:
+            os.remove(args.output)
+            raise
     print(f"accepted {accepted.m} of {cloud.m} points")
     q = np.percentile(report.gradient_norms, [1, 5, 25, 50, 75, 95, 99])
     return {
@@ -304,7 +311,10 @@ def cmd_export_algebra(args) -> dict:
 
 def cmd_pipeline(args) -> dict:
     _check_generator_flags(args)
-    degrees = [int(d) for d in args.degrees.split(",")]
+    try:
+        degrees = [int(d) for d in args.degrees.split(",")]
+    except ValueError:
+        raise ValueError(f"--degrees must be comma-separated integers, got {args.degrees}") from None
     if min(degrees) < 0 or len(set(degrees)) < len(degrees):
         raise ValueError(f"--degrees must be distinct and >= 0, got {args.degrees}")
     # Sampler and filter settings are checked here, before any fit; each

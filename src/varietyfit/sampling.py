@@ -39,6 +39,12 @@ _BLOCK = 8192
 DEFAULT_PROPOSALS_PER_POINT = 10**6
 
 
+def check_eta(eta: float) -> None:
+    """Refuse a band half-width that is not finite and > 0."""
+    if not (np.isfinite(eta) and eta > 0):
+        raise ValueError(f"eta must be finite and > 0, got {eta}")
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Seed, sample size, band half-width eta and proposal budget."""
@@ -51,8 +57,7 @@ class SamplerConfig:
     def __post_init__(self) -> None:
         if self.target_m < 1:
             raise ValueError("target_m must be >= 1")
-        if not (np.isfinite(self.eta) and self.eta > 0):
-            raise ValueError(f"eta must be finite and > 0, got {self.eta}")
+        check_eta(self.eta)
         if self.max_proposals is not None and self.max_proposals < self.target_m:
             raise ValueError("max_proposals must be >= target_m")
 

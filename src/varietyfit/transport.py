@@ -47,16 +47,20 @@ Both solvers build the dense (m, m') squared-distance matrix through
 _cost_matrix, the one place that refuses m * m' > EXACT_SIZE_CAP**2
 (128 MiB of float64) before allocating it. So equal clouds of more than
 EXACT_SIZE_CAP points are refused by either solver.
+
+cdist and linear_sum_assignment, the module's only SciPy names, are
+imported and bound on first use (PEP 562's module __getattr__), so only a
+command that transports pays for SciPy's import; both stay module
+attributes that a test can patch.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .cloud import EXACT_SIZE_CAP, PointCloud, check_dense_budget
 
@@ -65,6 +69,29 @@ __all__ = [
     "wasserstein_exact",
     "wasserstein_sinkhorn",
 ]
+
+# SciPy name -> the module it is imported from on first use.
+_SCIPY_NAMES = {
+    "cdist": "scipy.spatial.distance",
+    "linear_sum_assignment": "scipy.optimize",
+}
+
+
+def __getattr__(name: str):
+    """Import a SciPy name on first access and bind it in this module."""
+    if name not in _SCIPY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # A first access from several pool threads at once is safe: Python's
+    # import lock runs the import once, and each thread binds the same object.
+    value = getattr(importlib.import_module(_SCIPY_NAMES[name]), name)
+    globals()[name] = value
+    return value
+
+
+def _scipy(name: str):
+    """This module's `name` as bound now, a patch included, or imported."""
+    return globals()[name] if name in globals() else __getattr__(name)
+
 
 # wasserstein_sinkhorn's default reg, as a fraction of the median squared
 # distance between the two clouds.
@@ -144,7 +171,7 @@ def _cost_matrix(a: PointCloud, b: PointCloud, out: np.ndarray | None = None) ->
             f"the clouds' coordinates range over [{lo.min():.6g}, {hi.max():.6g}], "
             "so squared distances between them overflow float64; rescale the clouds"
         )
-    return cdist(a.points, b.points, metric="sqeuclidean", out=out)
+    return _scipy("cdist")(a.points, b.points, metric="sqeuclidean", out=out)
 
 
 def _paired_sqeuclidean(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -275,7 +302,7 @@ def wasserstein_exact(a: PointCloud, b: PointCloud) -> TransportPlan:
     f, g = _warm_start_duals(C)
     _cost_matrix(a, b, out=C)
     _subtract_duals(C, f, g)
-    rows, cols = linear_sum_assignment(C)
+    rows, cols = _scipy("linear_sum_assignment")(C)
     del C
     cost = float(np.sqrt(np.mean(_paired_sqeuclidean(a.points[rows], b.points[cols]))))
     coupling = np.zeros((a.m, a.m))

@@ -1,7 +1,11 @@
 import functools
 import itertools
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -297,6 +301,10 @@ REFUSED_INPUTS = [
                                    "--outdir", "pipe"], "--degrees"),
     ("pipeline-degrees-repeated", ["pipeline", "--m", 60, "--degrees", "1,1", "--seed", 1,
                                    "--outdir", "pipe"], "--degrees"),
+    ("pipeline-degrees-not-integer", ["pipeline", "--m", 60, "--degrees", "x", "--seed", 1,
+                                      "--outdir", "pipe"], "--degrees"),
+    ("pipeline-degrees-empty-item", ["pipeline", "--m", 60, "--degrees", "1,,2", "--seed", 1,
+                                     "--outdir", "pipe"], "--degrees"),
     ("pipeline-eta-0", ["pipeline", "--m", 60, "--eta", 0, "--seed", 1, "--outdir", "pipe"],
      "eta"),
     ("pipeline-epsilon-0", ["pipeline", "--m", 60, "--epsilon", 0, "--degrees", 1,
@@ -306,6 +314,16 @@ REFUSED_INPUTS = [
                         "--seed", 1, "-o", "x.csv"], "eta"),
     ("singular-epsilon-inf", ["singular", "--model", "sphere.json", "-i", "a.csv",
                               "--epsilon", "inf", "-o", "x.csv"], "epsilon"),
+    # singular's --eta follows the sampler's rule; NaN would silence its warning.
+    ("singular-eta-nan", ["singular", "--model", "sphere.json", "-i", "a.csv", "--epsilon", 0.02,
+                          "--eta", "nan", "-o", "x.csv"], "eta must be finite and > 0"),
+    ("singular-eta-negative", ["singular", "--model", "sphere.json", "-i", "a.csv",
+                               "--epsilon", 0.02, "--eta", -1, "-o", "x.csv"],
+     "eta must be finite and > 0"),
+    # The filtered cloud is not left behind when its norms cannot be written.
+    ("singular-norms-output-unwritable", ["singular", "--model", "sphere.json", "-i", "a.csv",
+                                          "--epsilon", 0.02, "--norms-output", "nodir/n.txt",
+                                          "-o", "x.csv"], "nodir/n.txt"),
     ("pipeline-eta-inf", ["pipeline", "--m", 60, "--eta", "inf", "--seed", 1,
                           "--outdir", "pipe"], "eta"),
     ("pipeline-epsilon-inf", ["pipeline", "--m", 60, "--epsilon", "inf", "--degrees", 1,
@@ -377,6 +395,39 @@ def test_refused_input_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys,
     assert run(*argv) == 2
     assert named in capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == before
+
+
+# Python run in a child interpreter per case, and whether SciPy is loaded
+# after it: only a command that transports imports SciPy.
+SCIPY_IMPORT_CASES = [
+    ("import-package", "import varietyfit", False),
+    ("import-cli", "import varietyfit.cli", False),
+    ("gen", "gen sphere-plane --m 40 --seed 1 -o g.csv", False),
+    ("fit", "fit -i a.csv -D 3 -o m.json", False),
+    ("sample", "sample --model sphere.json --m 40 --seed 1 -o s.csv", False),
+    ("singular", "singular --model sphere.json -i a.csv --epsilon 0.02 -o x.csv", False),
+    ("export-algebra", "export-algebra --model sphere.json -o x.sing", False),
+    ("compare", "compare --input-a a.csv --input-b b.csv -o m.json", True),
+]
+
+
+@pytest.mark.parametrize("code,loads_scipy", [c[1:] for c in SCIPY_IMPORT_CASES],
+                         ids=[c[0] for c in SCIPY_IMPORT_CASES])
+def test_only_transport_imports_scipy(tmp_path, code, loads_scipy):
+    if not code.startswith("import "):
+        code = f"from varietyfit.cli import main; assert main({code.split()!r}) == 0"
+    save_cloud(gen_sphere_plane(300, 0.5, seed=15), tmp_path / "a.csv")
+    save_cloud(gen_sphere_plane(300, 0.5, seed=2), tmp_path / "b.csv")
+    save_model(ModelFile.from_fit(fit_map(gen_sphere_plane(300, 0.5, seed=15), 3)),
+               tmp_path / "sphere.json")
+    probe = f"import sys\n{code}\nprint(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = os.environ | {"PYTHONPATH": path}
+    child = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split()[-1] == str(loads_scipy)
 
 
 def test_normalized_model_is_used_in_data_coordinates(tmp_path):
