@@ -35,8 +35,8 @@ from .datasets import gen_noisy_line, gen_sphere_plane, gen_sphere_plane_singula
 from .fitting import RationalizationError, check_fit_budget, fit_map, rationalize
 from .modelio import ModelFile, export_singular_script, load_model, save_model
 from .sampling import ProposalBudgetError, SamplerConfig, check_eta, direct_sample
-from .singular import singularity_filter
-from .transport import wasserstein_exact, wasserstein_sinkhorn
+from .singular import check_epsilon, singularity_filter
+from .transport import check_reg, wasserstein_exact, wasserstein_sinkhorn
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -117,14 +117,12 @@ def cmd_gen(args) -> dict:
 
 
 def cmd_fit(args) -> dict:
-    cloud = load_cloud(args.input, header=args.header)
+    cloud = load_cloud(args.input)
     record = None
     if args.normalize:
         cloud, record = normalize_to_unit_cube(cloud)
     fit = fit_map(cloud, args.degree, multiplicity_tol=args.multiplicity_tol)
-    model = ModelFile.from_fit(
-        fit, intersected=args.intersected, seed=args.seed, normalization=record
-    )
+    model = ModelFile.from_fit(fit, intersected=args.intersected, normalization=record)
     save_model(model, args.output)
     print(
         f"lambda={fit.lam:.6e} kernel_dim={fit.kernel_dim} "
@@ -183,11 +181,13 @@ def cmd_sample(args) -> dict:
 
 
 def cmd_singular(args) -> dict:
+    # Every refusal comes before the epsilon <= eta warning.
+    check_epsilon(args.epsilon)
     if args.eta is not None:
         check_eta(args.eta)
     model = load_model(args.model)
     f = model.poly
-    cloud = load_cloud(args.input, header=args.header)
+    cloud = load_cloud(args.input)
     if cloud.dim != f.basis.n:
         raise ValueError(f"cloud dimension {cloud.dim} does not match the model's n={f.basis.n}")
     if args.eta is not None and args.epsilon <= args.eta:
@@ -287,8 +287,8 @@ def _transports(pairs, reg) -> list[dict]:
 
 
 def cmd_compare(args) -> dict:
-    a = load_cloud(args.input_a, header=args.header)
-    b = load_cloud(args.input_b, header=args.header)
+    a = load_cloud(args.input_a)
+    b = load_cloud(args.input_b)
     (result,) = _transports([(a, b)], args.reg)
     distance = result.pop("wasserstein")
     print(f"wasserstein {distance:.6f} ({result['method']})")
@@ -327,7 +327,7 @@ def cmd_pipeline(args) -> dict:
     )
     if not (np.isfinite(args.epsilon) and args.epsilon > 0):
         raise ValueError(f"--epsilon must be finite and > 0, got {args.epsilon}")
-    reference = load_cloud(args.reference, header=args.header) if args.reference else None
+    reference = load_cloud(args.reference) if args.reference else None
     # Each transport's cost matrix is the reference's size by --m, since
     # every resample has exactly --m points: refused before the cloud is
     # generated.
@@ -344,9 +344,12 @@ def cmd_pipeline(args) -> dict:
     else:
         reference = cloud
     # The same sizes pick the solver of every degree's transport, so a
-    # --reg that an exact sweep would refuse, and every degree's
-    # Vandermonde table and Gram matrix, are checked before any fit.
+    # --reg that an exact sweep would refuse or Sinkhorn would refuse, and
+    # every degree's Vandermonde table and Gram matrix, are checked before
+    # any fit.
     _refuse_reg_if_exact(reference.m == args.m, args.reg)
+    if args.reg is not None:
+        check_reg(args.reg)
     for degree in degrees:
         check_fit_budget(cloud.m, cloud.dim, degree)
 
@@ -365,8 +368,8 @@ def cmd_pipeline(args) -> dict:
         report = singularity_filter(f, resampled, args.epsilon)
         outputs.append((save_model, model, f"model_D{degree}.json"))
         outputs.append((save_cloud, resampled, f"resampled_D{degree}.csv"))
-        if report.accepted_count:
-            outputs.append((save_cloud, report.accepted, f"singular_D{degree}.csv"))
+        # Written even when empty, so a reused --outdir keeps no stale file.
+        outputs.append((save_cloud, report.accepted, f"singular_D{degree}.csv"))
         pairs.append((reference, resampled))
         rows.append(
             {
@@ -423,8 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--intersected", action="store_true")
     p.add_argument("--multiplicity-tol", type=float, default=None)
     p.add_argument("--normalize", action="store_true", help="min-max map into [0,1]^n first")
-    p.add_argument("--header", action="store_true", help="input CSV has a header row")
-    p.add_argument("--seed", type=int, default=None, help="provenance seed stored in the model")
     p.add_argument("--output", "-o", required=True)
     p.set_defaults(func=cmd_fit)
 
@@ -442,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", "-i", required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--eta", type=float, default=None, help="eta used to draw the input cloud")
-    p.add_argument("--header", action="store_true")
     p.add_argument("--norms-output", default=None)
     p.add_argument("--output", "-o", required=True)
     p.set_defaults(func=cmd_singular)
@@ -451,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input-a", required=True)
     p.add_argument("--input-b", required=True)
     p.add_argument("--reg", type=float, default=None, help="Sinkhorn regularization (unequal sizes only)")
-    p.add_argument("--header", action="store_true")
     p.add_argument("--output", "-o", required=True, help="metrics JSON path")
     p.set_defaults(func=cmd_compare)
 
@@ -475,7 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-proposals", type=int, default=None)
     p.add_argument("--reg", type=float, default=None, help="Sinkhorn regularization (--reference of another size only)")
     p.add_argument("--reference", default=None, help="reference cloud CSV (default: noise-free regeneration)")
-    p.add_argument("--header", action="store_true")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--outdir", required=True)
     p.set_defaults(func=cmd_pipeline)

@@ -143,18 +143,16 @@ def save_cloud(cloud: PointCloud, path) -> None:
     np.savetxt(path, cloud.points, fmt="%.17g", delimiter=",")
 
 
-def load_cloud(path, header: bool = False) -> PointCloud:
-    """Read a cloud written by save_cloud; set header=True to skip a header row.
+def load_cloud(path) -> PointCloud:
+    """Read a cloud written by save_cloud: comma-separated rows, no header.
 
-    Rows of unequal width, unparsable cells and NaN or infinite values raise
-    CloudFormatError naming the line.
+    Rows of unequal width, unparsable cells (a header line among them) and
+    NaN or infinite values raise CloudFormatError naming the line.
     """
     rows: list[list[float]] = []
     width = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if header and lineno == 1:
-                continue
             line = line.strip()
             if not line:
                 continue

@@ -40,6 +40,9 @@ __all__ = [
 # Relative slack when locating the largest-magnitude coefficient, so that
 # sign fixing is stable when several coefficients tie up to round-off.
 _SIGN_TIE_REL = 1e-9
+# rationalize refuses a coefficient whose best rational approximation
+# (denominator capped) misses its scaled float value by more than this.
+RATIONAL_VALUE_TOL = 1e-4
 
 
 def check_fit_budget(m: int, n: int, degree: int) -> None:
@@ -206,7 +209,6 @@ def rationalize(
     f: Poly,
     max_denominator: int = 64,
     drop_tol: float = 1e-6,
-    value_tol: float = 1e-4,
 ) -> RationalPoly:
     """Interpret a unit-norm float polynomial as a rational one.
 
@@ -214,7 +216,7 @@ def rationalize(
     below drop_tol are zeroed, and the rest are converted by
     continued-fraction best approximation with denominators capped at
     max_denominator. If any approximation misses its float value by more
-    than value_tol the coefficients are not credibly rational at this
+    than RATIONAL_VALUE_TOL the coefficients are not credibly rational at this
     denominator cap and a RationalizationError is raised instead of
     inventing precision. drop_tol must be >= 0 (not NaN).
     """
@@ -230,7 +232,7 @@ def rationalize(
             fracs.append(Fraction(0))
             continue
         q = Fraction(float(v)).limit_denominator(max_denominator)
-        if abs(float(q) - float(v)) > value_tol:
+        if abs(float(q) - float(v)) > RATIONAL_VALUE_TOL:
             raise RationalizationError(
                 f"coefficient {float(v)!r} is not close to a rational with "
                 f"denominator <= {max_denominator}"

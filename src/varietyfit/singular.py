@@ -20,6 +20,12 @@ from .polynomials import Poly
 __all__ = ["SingularityReport", "singularity_filter"]
 
 
+def check_epsilon(epsilon: float) -> None:
+    """Refuse a gradient-norm threshold that is not finite and > 0."""
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+
+
 @dataclass(frozen=True)
 class SingularityReport:
     """Outcome of the gradient-norm filter on one cloud."""
@@ -45,8 +51,7 @@ def singularity_filter(
 
     Accepted points preserve input order. Pure function of its inputs.
     """
-    if not (np.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+    check_epsilon(epsilon)
     if cloud.dim != f.basis.n:
         raise ValueError(
             f"cloud dimension {cloud.dim} does not match polynomial n={f.basis.n}"

@@ -41,7 +41,9 @@ omega is not a parameter: every OMEGA_WINDOW iterations it is read off the
 observed error decay (see _relaxation), and a stage whose best marginal
 error has not improved for OMEGA_STALL iterations finishes at omega = 1.
 The solve stops when the larger of the row and column L1 marginal errors
-of the current scalings is at most tol.
+of the current scalings is at most SINKHORN_TOL, or as soon as that error
+is NaN: a scaling that overflowed (at a reg far below the squared
+distances) never recovers, so the plan is reported as not converged.
 
 Both solvers build the dense (m, m') squared-distance matrix through
 _cost_matrix, the one place that refuses m * m' > EXACT_SIZE_CAP**2
@@ -96,6 +98,9 @@ def _scipy(name: str):
 # wasserstein_sinkhorn's default reg, as a fraction of the median squared
 # distance between the two clouds.
 DEFAULT_REG_FRACTION = 0.002
+# Sinkhorn converges when the larger L1 marginal error of its plan is at
+# most SINKHORN_TOL; stages above the target reg stop at 1e-4 already.
+SINKHORN_TOL = 1e-6
 # Sinkhorn scalings, and the warm start's, outside [1 / ABSORB_BOUND,
 # ABSORB_BOUND] are folded into the log potentials before they can overflow
 # or underflow the kernel.
@@ -338,12 +343,20 @@ def _relaxation(err_before: float, err: float, omega: float) -> float:
     return min(2.0 / (1.0 + math.sqrt(max(1.0 - theta, 0.0))), OMEGA_MAX)
 
 
+def check_reg(reg: float) -> None:
+    """Refuse a Sinkhorn regularization that is not finite and > 0."""
+    if not (np.isfinite(reg) and reg > 0):
+        raise ValueError(f"reg must be finite and > 0, got {reg}")
+
+
+# Overflow, a zero divisor or a NaN in a scaling shows up as a NaN marginal
+# error, which stops the solve; numpy's warnings would only repeat it.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def wasserstein_sinkhorn(
     a: PointCloud,
     b: PointCloud,
     reg: float | None = None,
     max_iters: int = 20000,
-    tol: float = 1e-6,
 ) -> TransportPlan:
     """Entropically regularized transport between uniform clouds.
 
@@ -371,25 +384,23 @@ def wasserstein_sinkhorn(
     _relaxation). Once a stage's best marginal error is OMEGA_STALL
     iterations old, the stage finishes at omega = 1. A stage stops when
     the larger of the row and column L1 marginal errors of the current
-    scalings is at most its tolerance; both come from the two
-    matrix-vector products the iteration computes anyway. max_iters caps
-    the iterations of all stages together.
+    scalings is at most its tolerance (SINKHORN_TOL at the target reg,
+    1e-4 above it); both come from the two matrix-vector products the
+    iteration computes anyway. A NaN marginal error stops every stage at
+    once. max_iters caps the iterations of all stages together.
 
     Non-convergence is reported in the returned plan (converged flag,
     residual marginal error and last omega) rather than raised. If
     max_iters runs out before the target reg, the plan is evaluated at the
     last regularization reached, so it stays a usable diagnostic.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
     if not max_iters >= 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     C = _cost_matrix(a, b)
     m, mp = a.m, b.m
     if reg is None:
         reg = DEFAULT_REG_FRACTION * float(np.median(C))
-    if not (np.isfinite(reg) and reg > 0):
-        raise ValueError(f"reg must be finite and > 0, got {reg}")
+    check_reg(reg)
     mu = np.full(m, 1.0 / m)
     nu = np.full(mp, 1.0 / mp)
 
@@ -410,7 +421,7 @@ def wasserstein_sinkhorn(
         # is enforced at the target regularization.
         final = eps == reg
         stage_cap = max_iters if final else min(iterations + 100, max_iters)
-        stage_tol = tol if final else max(tol, 1e-4)
+        stage_tol = SINKHORN_TOL if final else 1e-4
         # Each stage starts plain (omega = 1) and reads omega off its own
         # error decay; errors holds the stage's marginal errors so far.
         omega, relax, errors, best_k = 1.0, True, [], 0
@@ -421,7 +432,7 @@ def wasserstein_sinkhorn(
             # of the previous v update (u has not moved since).
             Kv = K @ v
             err = max(float(np.abs(u * Kv - mu).sum()), col_err)
-            if err <= stage_tol:
+            if err <= stage_tol or math.isnan(err):
                 break
             if math.isfinite(err):
                 errors.append(err)
@@ -444,7 +455,7 @@ def wasserstein_sinkhorn(
                 u, v = np.ones(m), np.ones(mp)
         f += eps * np.log(u)
         g += eps * np.log(v)
-        if iterations >= max_iters:
+        if iterations >= max_iters or math.isnan(err):
             break
 
     P = _kernel(f, g, C, eps)
@@ -452,7 +463,7 @@ def wasserstein_sinkhorn(
         float(np.abs(P.sum(axis=1) - 1.0 / m).sum()),
         float(np.abs(P.sum(axis=0) - 1.0 / mp).sum()),
     )
-    converged = eps == reg and marginal_error <= tol
+    converged = eps == reg and marginal_error <= SINKHORN_TOL
     total = float(P.sum())
     cost = float(np.sqrt(max((P * C).sum() / total, 0.0))) if total > 0 else float("nan")
     return TransportPlan(

@@ -1,10 +1,14 @@
+import contextlib
 import functools
+import io
 import itertools
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +77,8 @@ def test_fit_reports_lambda_and_kernel(tmp_path, capsys):
     model = load_model(model_path)
     assert model.degree == 3
     assert model.kernel_dim == 1
+    # fit takes no seed; the model keeps the key, as null.
+    assert json.loads(model_path.read_text())["seed"] is None
 
 
 def test_fit_degree_zero_forced_constant(tmp_path):
@@ -289,6 +295,17 @@ REFUSED_INPUTS = [
                             "--outdir", "pipe"], "--reg"),
     ("pipeline-reference-2d", ["pipeline", "--m", 60, "--reference", "flat.csv", "--seed", 1,
                                "--outdir", "pipe"], "dimension 2"),
+    # A reference of another size picks Sinkhorn, whose reg is checked
+    # before any fit: at --eta 0.05 the D = 3 sample would warn first.
+    ("pipeline-reg-nan", ["pipeline", "--m", 60, "--degrees", "1,3", "--eta", 0.05,
+                          "--reference", "tiny.csv", "--reg", "nan", "--seed", 1,
+                          "--outdir", "pipe"], "reg must be finite and > 0"),
+    ("pipeline-reg-negative", ["pipeline", "--m", 60, "--degrees", "1,3", "--eta", 0.05,
+                               "--reference", "tiny.csv", "--reg", -1, "--seed", 1,
+                               "--outdir", "pipe"], "reg must be finite and > 0"),
+    ("pipeline-reg-inf", ["pipeline", "--m", 60, "--degrees", "1,3", "--eta", 0.05,
+                          "--reference", "tiny.csv", "--reg", "inf", "--seed", 1,
+                          "--outdir", "pipe"], "reg must be finite and > 0"),
     ("gen-m-0", ["gen", "sphere-plane", "--m", 0, "--seed", 1, "-o", "x.csv"], "--m"),
     ("gen-sphere-plane-sigma-negative", ["gen", "sphere-plane", "--m", 40, "--sigma", -0.1,
                                          "--seed", 1, "-o", "x.csv"], "sigma"),
@@ -314,6 +331,10 @@ REFUSED_INPUTS = [
                         "--seed", 1, "-o", "x.csv"], "eta"),
     ("singular-epsilon-inf", ["singular", "--model", "sphere.json", "-i", "a.csv",
                               "--epsilon", "inf", "-o", "x.csv"], "epsilon"),
+    # Refused before the epsilon <= eta warning is printed.
+    ("singular-epsilon-0-eta-3", ["singular", "--model", "sphere.json", "-i", "a.csv",
+                                  "--epsilon", 0, "--eta", 3, "-o", "x.csv"],
+     "epsilon must be finite and > 0"),
     # singular's --eta follows the sampler's rule; NaN would silence its warning.
     ("singular-eta-nan", ["singular", "--model", "sphere.json", "-i", "a.csv", "--epsilon", 0.02,
                           "--eta", "nan", "-o", "x.csv"], "eta must be finite and > 0"),
@@ -393,7 +414,10 @@ def test_refused_input_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys,
     before = sorted(tmp_path.iterdir())
     capsys.readouterr()
     assert run(*argv) == 2
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # The refusal is the first thing on stderr: no warning or work before it.
+    assert err.startswith("error:")
+    assert named in err
     assert sorted(tmp_path.iterdir()) == before
 
 
@@ -519,6 +543,21 @@ def test_pipeline_writes_distance_table(tmp_path):
         assert (row["method"], row["iterations"], row["marginal_error"]) == (
             "exact-assignment", 0, 0.0
         )
+
+
+def test_reused_pipeline_outdir_keeps_no_stale_singular_file(tmp_path):
+    # Each degree's singular file is written, empty when the filter accepts
+    # nothing, so it always holds distances.csv's singular_count rows.
+    outdir = tmp_path / "pipe"
+    for epsilon, accepted in ((0.5, True), (1e-9, False)):
+        assert run("pipeline", "--m", 200, "--degrees", "1,3", "--epsilon", epsilon,
+                   "--seed", 1, "--outdir", outdir) == 0
+        lines = (outdir / "distances.csv").read_text().splitlines()[1:]
+        counts = {int(l.split(",")[0]): int(l.split(",")[4]) for l in lines}
+        assert (counts[3] > 0) == accepted
+        for degree, count in counts.items():
+            text = (outdir / f"singular_D{degree}.csv").read_text()
+            assert len(text.splitlines()) == count
 
 
 def test_pipeline_sinkhorn_converges_at_m_120():
@@ -762,6 +801,27 @@ def test_compare_nonconvergence_exits_3_without_manifest(tmp_path, monkeypatch, 
     assert not (tmp_path / "m.json.manifest.json").exists()
 
 
+def test_compare_sinkhorn_nan_exits_3_with_only_the_error(tmp_path, capsys):
+    # At a reg this far below the squared distances a scaling overflows and
+    # the marginal error turns NaN: the solve stops there, and stderr holds
+    # the error line and no numpy warning.
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    run("gen", "sphere-plane", "--m", 200, "--seed", 1, "-o", a)
+    run("gen", "sphere-plane", "--m", 100, "--seed", 2, "-o", b)
+    metrics = tmp_path / "m.json"
+    capsys.readouterr()
+    # The warnings module would print a warning to stderr outside pytest.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("compare", "--input-a", a, "--input-b", b, "--reg", 1e-30, "-o", metrics) == 3
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: sinkhorn did not converge")
+    assert "marginal error nan" in err
+    assert not metrics.exists()
+    assert not (tmp_path / "m.json.manifest.json").exists()
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("command", ["fit", "singular", "compare"])
 def test_non_finite_cloud_is_input_error(tmp_path, capsys, command, bad):
@@ -894,3 +954,120 @@ def test_malformed_model_is_input_error(tmp_path, capsys, good_model, command, e
     assert str(bad) in err and field in err
     assert not out.exists()
     assert not (tmp_path / "out.manifest.json").exists()
+
+
+# The exit-code contract over cli.main: every command, input files of the
+# right and the wrong kind, and flag values of the flag's own type, so that
+# argparse takes them. A quarter of the draws are edges (0, negatives, NaN,
+# +-inf, 1e+-300 and huge sizes), the rest are in range, so that a command
+# with several flags still runs through now and then.
+def _values(valid, edge):
+    return st.sampled_from([valid, valid, valid, edge]).flatmap(st.sampled_from)
+
+
+_EDGE_FLOATS = ["0", "-1", "nan", "inf", "-inf", "1e300", "-1e300", "1e-300"]
+_FLOATS = _values(["0.001", "0.02", "0.05", "0.5"], _EDGE_FLOATS)
+_SIZES = _values(["1", "25"], ["-1", "0", str(10**10), str(10**300)])
+_SEEDS = _values(["0", "1"], ["-1", str(2**64), str(10**30)])
+_DEGREES = _values(["0", "1", "3"], ["-1", "40", str(10**6)])
+# Small budgets only: at a tiny --eta a sample spends all of it.
+_PROPOSALS = _values(["20000"], ["-1", "0", "1", "25"])
+_SWITCH = st.just(None)
+_CLOUDS = _values(["a.csv", "b.csv"], ["model.json", "missing.csv"])
+_MODELS = _values(["model.json"], ["a.csv"])
+
+# command -> (flags it needs, flags it may take, its output argv).
+_COMMANDS = {
+    "gen": (
+        {"kind": st.sampled_from(list(cli._GENERATORS)), "--m": _SIZES, "--seed": _SEEDS},
+        {"--sigma": _FLOATS, "--plane-fraction": _FLOATS},
+        ["-o", "g.csv"],
+    ),
+    "fit": (
+        {"--input": _CLOUDS, "--degree": _DEGREES},
+        {"--intersected": _SWITCH, "--multiplicity-tol": _FLOATS, "--normalize": _SWITCH},
+        ["-o", "m.json"],
+    ),
+    "sample": (
+        {"--model": _MODELS, "--m": _SIZES, "--seed": _SEEDS, "--max-proposals": _PROPOSALS},
+        {"--eta": _FLOATS},
+        ["-o", "s.csv"],
+    ),
+    "singular": (
+        {"--model": _MODELS, "--input": _CLOUDS, "--epsilon": _FLOATS},
+        {"--eta": _FLOATS, "--norms-output": st.just("n.txt")},
+        ["-o", "x.csv"],
+    ),
+    "compare": (
+        {"--input-a": _CLOUDS, "--input-b": _CLOUDS},
+        {"--reg": _FLOATS},
+        ["-o", "c.json"],
+    ),
+    "export-algebra": (
+        {"--model": _MODELS},
+        {"--max-denominator": _SIZES, "--drop-tol": _FLOATS},
+        ["-o", "a.sing"],
+    ),
+    "pipeline": (
+        {"--m": _SIZES, "--seed": _SEEDS, "--max-proposals": _PROPOSALS},
+        {"--kind": st.sampled_from(list(cli._GENERATORS)), "--sigma": _FLOATS,
+         "--plane-fraction": _FLOATS,
+         "--degrees": _values(["1", "0", "1,3"], ["-1", "1,1", "x", "1,40"]),
+         "--eta": _FLOATS, "--epsilon": _FLOATS, "--reg": _FLOATS,
+         "--reference": _CLOUDS},
+        ["--outdir", "pipe"],
+    ),
+}
+_INPUT_FLAGS = {"--input", "--model", "--input-a", "--input-b", "--reference"}
+
+
+@st.composite
+def _cli_case(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    required, optional, output = _COMMANDS[command]
+    return command, draw(st.fixed_dictionaries(required, optional=optional)), output
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("inputs")
+    save_cloud(gen_sphere_plane(30, 0.5, seed=1), root / "a.csv")
+    save_cloud(gen_sphere_plane(37, 0.5, seed=2), root / "b.csv")
+    save_model(ModelFile.from_fit(fit_map(gen_sphere_plane(40, 0.5, seed=3), 3)),
+               root / "model.json")
+    return root
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_cli_case())
+def test_main_exit_code_contract(cli_inputs, case):
+    command, flags, (output_flag, output) = case
+    with tempfile.TemporaryDirectory(dir=cli_inputs) as work:
+        work = Path(work)
+        argv = [command]
+        for flag, value in flags.items():
+            if flag in _INPUT_FLAGS:
+                value = cli_inputs / value
+            elif flag == "--norms-output":
+                value = work / value
+            # --flag=value, so that a value such as -inf is not read as a flag.
+            argv.append(value if flag == "kind" else flag if value is None else f"{flag}={value}")
+        argv += [output_flag, str(work / output)]
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(argv)
+        # Outside pytest a warning would go to stderr: none may.
+        assert [str(w.message) for w in caught] == []
+        assert code in (0, 2, 3)
+        written = sorted(work.rglob("*"))
+        if code != 0:
+            assert err.getvalue().startswith("error:")
+            assert written == []
+            return
+        for path in written:
+            if path.suffix == ".csv" and path.name != "distances.csv":
+                assert path.read_bytes() == b"" or load_cloud(path).m > 0
+            elif path.suffix == ".json":
+                json.loads(path.read_text())

@@ -197,12 +197,12 @@ def test_csv_single_value(tmp_path):
     assert cloud.points[0, 0] == 0.5
 
 
-def test_csv_header_flag(tmp_path):
-    cloud = PointCloud(np.array([[0.25, 0.75]]))
+def test_csv_header_line_names_line_1(tmp_path):
+    # A cloud file has no header; a header line is an unparsable row.
     path = tmp_path / "h.csv"
     path.write_text("x1,x2\n0.25,0.75\n")
-    assert path.read_text().splitlines()[0] == "x1,x2"
-    assert np.array_equal(load_cloud(path, header=True).points, cloud.points)
+    with pytest.raises(CloudFormatError, match="line 1"):
+        load_cloud(path)
 
 
 def test_csv_ragged_names_line(tmp_path):

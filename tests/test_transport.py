@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -180,12 +182,25 @@ def test_sinkhorn_validation():
         {"reg": -1.0},
         {"reg": float("inf")},
         {"reg": float("nan")},
-        {"reg": 0.1, "tol": 0.0},
-        {"reg": 0.1, "tol": float("nan")},
         {"reg": 0.1, "max_iters": 0},
     ):
         with pytest.raises(ValueError):
             wasserstein_sinkhorn(a, a, **kwargs)
+
+
+@pytest.mark.parametrize("reg", [1e-30, 1e-300])
+def test_sinkhorn_stops_on_nan_without_warnings(reg):
+    # Far below the squared distances a scaling overflows and the marginal
+    # error turns NaN; the solve stops long before max_iters, reports the
+    # plan as not converged, and lets no numpy warning out.
+    a = gen_sphere_plane(200, 0.5, seed=1)
+    b = gen_sphere_plane(100, 0.5, seed=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plan = wasserstein_sinkhorn(a, b, reg=reg)
+    assert not plan.converged
+    assert math.isnan(plan.marginal_error)
+    assert plan.iterations < 2000
 
 
 def _logsumexp(x, axis):
