@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -36,7 +37,7 @@ from .fitting import RationalizationError, check_fit_budget, fit_map, rationaliz
 from .modelio import ModelFile, export_singular_script, load_model, save_model
 from .sampling import ProposalBudgetError, SamplerConfig, check_eta, direct_sample
 from .singular import check_epsilon, singularity_filter
-from .transport import check_reg, wasserstein_exact, wasserstein_sinkhorn
+from .transport import DEFAULT_REG_FRACTION, check_reg, wasserstein_exact, wasserstein_sinkhorn
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -246,10 +247,11 @@ def _transports(pairs, reg) -> list[dict]:
     Equal sizes are solved exactly, others by Sinkhorn at reg, which is
     refused if any pair is exact. Exact solves release the GIL, so an
     all-exact list runs on up to one thread per usable CPU; Sinkhorn solves
-    each hold several dense matrices, so any other list runs one at a time.
-    A Sinkhorn solve cut short raises _NotConverged. Every solve is waited
-    for before the first error in pair order is raised. The solvers are
-    looked up in this module at call time, so a wrapper on
+    each hold two dense matrices, so any other list runs one at a time.
+    A Sinkhorn solve cut short raises _NotConverged, whose message blames
+    --reg when the marginal error is NaN at a reg that was set. Every solve
+    is waited for before the first error in pair order is raised. The
+    solvers are looked up in this module at call time, so a wrapper on
     cli.wasserstein_* (a tracer, a test double) still sees each call.
     """
     exact = [a.m == b.m for a, b in pairs]
@@ -263,10 +265,17 @@ def _transports(pairs, reg) -> list[dict]:
         else:
             plan = wasserstein_sinkhorn(a, b, reg=reg)
             if not plan.converged:
-                raise _NotConverged(
+                message = (
                     f"sinkhorn did not converge in {plan.iterations} iterations "
                     f"(marginal error {plan.marginal_error:.3e})"
                 )
+                if reg is not None and math.isnan(plan.marginal_error):
+                    message += (
+                        f": a scaling overflowed because --reg {reg:g} is far below the "
+                        "clouds' squared distances; leaving --reg out uses the default, "
+                        f"{DEFAULT_REG_FRACTION:g} times their median"
+                    )
+                raise _NotConverged(message)
         return {
             "wasserstein": plan.cost,
             "method": plan.method,

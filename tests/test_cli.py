@@ -818,6 +818,7 @@ def test_compare_sinkhorn_nan_exits_3_with_only_the_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: sinkhorn did not converge")
     assert "marginal error nan" in err
+    assert "--reg" in err
     assert not metrics.exists()
     assert not (tmp_path / "m.json.manifest.json").exists()
 

@@ -316,9 +316,9 @@ def test_sinkhorn_absorption_keeps_reference_iterates(monkeypatch):
     builds = []
     kernel = transport._kernel
 
-    def counting_kernel(f, g, C, eps):
+    def counting_kernel(f, g, C, eps, *args, **kwargs):
         builds.append(eps)
-        return kernel(f, g, C, eps)
+        return kernel(f, g, C, eps, *args, **kwargs)
 
     monkeypatch.setattr(transport, "_kernel", counting_kernel)
     rng = np.random.default_rng(15)
@@ -675,6 +675,55 @@ def test_exact_holds_one_dense_matrix_at_a_time():
         tracemalloc.stop()
     assert plan.coupling.nbytes == 8 * m * m
     assert peak <= 1.05 * 8 * m * m
+
+
+def test_sinkhorn_holds_two_dense_matrices():
+    # The cost matrix and one kernel buffer, rebuilt in place at every stage
+    # and absorption, which becomes the plan's coupling.
+    m, mp = 400, 300
+    rng = np.random.default_rng(22)
+    a, b = PointCloud(rng.random((m, 3))), PointCloud(rng.random((mp, 3)))
+    wasserstein_sinkhorn(a, b)
+    tracemalloc.start()
+    try:
+        plan = wasserstein_sinkhorn(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plan.converged
+    assert peak <= 2.5 * 8 * m * mp
+
+
+_SPECIAL = st.sampled_from([np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(1, 60),
+    mp=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+    f_special=st.lists(st.tuples(st.integers(0, 59), _SPECIAL), max_size=3),
+    g_special=st.lists(st.tuples(st.integers(0, 59), _SPECIAL), max_size=3),
+)
+def test_kernel_is_the_formula_bit_for_bit(m, mp, seed, f_special, g_special):
+    # Exponents mostly in [-760, -680], around the clamp at about -702.5 and
+    # the subnormal range below -708, with a few anywhere in [-800, 800].
+    rng = np.random.default_rng(seed)
+    eps = 10 ** rng.uniform(-4, 1)
+    f, g = rng.normal(size=m), rng.normal(size=mp)
+    x = rng.uniform(-760, -680, (m, mp))
+    wide = rng.random((m, mp)) < 0.1
+    x[wide] = rng.uniform(-800, 800, int(wide.sum()))
+    C = f[:, None] + g[None, :] - eps * x
+    for i, value in f_special:
+        f[i % m] = value
+    for j, value in g_special:
+        g[j % mp] = value
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        K = transport._kernel(f, g, C, eps, np.empty((m, mp)))
+        expected = np.exp((f[:, None] + g[None, :] - C) / eps)
+    expected[expected < transport.ABSORB_BOUND * np.finfo(float).tiny] = 0.0
+    assert np.array_equal(K.view(np.uint64), expected.view(np.uint64))
 
 
 def test_sinkhorn_default_reg_is_median_fraction():
