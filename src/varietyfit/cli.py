@@ -122,7 +122,7 @@ def cmd_fit(args) -> dict:
     record = None
     if args.normalize:
         cloud, record = normalize_to_unit_cube(cloud)
-    fit = fit_map(cloud, args.degree, multiplicity_tol=args.multiplicity_tol)
+    fit = fit_map(cloud, args.degree)
     model = ModelFile.from_fit(fit, intersected=args.intersected, normalization=record)
     save_model(model, args.output)
     print(
@@ -134,6 +134,8 @@ def cmd_fit(args) -> dict:
         "kernel_dim": fit.kernel_dim,
         "trace": fit.trace,
         "residual": fit.residual,
+        "rank": fit.rank,
+        "gap": fit.gap,
         "m": fit.m,
     }
 
@@ -310,7 +312,7 @@ def cmd_compare(args) -> dict:
 
 def cmd_export_algebra(args) -> dict:
     f = load_model(args.model).poly.normalized()
-    rational = rationalize(f, max_denominator=args.max_denominator, drop_tol=args.drop_tol)
+    rational = rationalize(f, max_denominator=args.max_denominator)
     script = export_singular_script(rational)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(script)
@@ -354,8 +356,8 @@ def cmd_pipeline(args) -> dict:
         reference = cloud
     # The same sizes pick the solver of every degree's transport, so a
     # --reg that an exact sweep would refuse or Sinkhorn would refuse, and
-    # every degree's Vandermonde table and Gram matrix, are checked before
-    # any fit.
+    # every degree's Vandermonde table and matrix of right singular
+    # vectors, are checked before any fit.
     _refuse_reg_if_exact(reference.m == args.m, args.reg)
     if args.reg is not None:
         check_reg(args.reg)
@@ -433,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", "-i", required=True)
     p.add_argument("--degree", "-D", type=int, required=True)
     p.add_argument("--intersected", action="store_true")
-    p.add_argument("--multiplicity-tol", type=float, default=None)
     p.add_argument("--normalize", action="store_true", help="min-max map into [0,1]^n first")
     p.add_argument("--output", "-o", required=True)
     p.set_defaults(func=cmd_fit)
@@ -466,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-algebra", help="emit a computer-algebra script for a model")
     p.add_argument("--model", required=True)
     p.add_argument("--max-denominator", type=int, default=64)
-    p.add_argument("--drop-tol", type=float, default=1e-6)
     p.add_argument("--output", "-o", required=True)
     p.set_defaults(func=cmd_export_algebra)
 

@@ -19,8 +19,8 @@ __all__ = [
 # from a file) before fitting refuses it rather than warning.
 CUBE_SLACK = 0.05
 # One dense float64 matrix may hold at most EXACT_SIZE_CAP**2 entries (128
-# MiB): transport's cost matrix, fitting's Vandermonde table and Gram
-# matrix, and a sample's points.
+# MiB): transport's cost matrix, fitting's Vandermonde table and its
+# matrix of right singular vectors, and a sample's points.
 EXACT_SIZE_CAP = 4096
 
 

@@ -1,16 +1,15 @@
-"""Fit a variety to a point cloud as a smallest-eigenpair problem.
+"""Fit a variety to a point cloud by the SVD of its monomial table.
 
 Every unit-coefficient polynomial f of degree <= D scores a cloud by the
-loss sum_i f(a_i)^2, which is the quadratic form c^T (U^T U) c of its
-coefficient vector against the Gram matrix of the multivariate Vandermonde
-matrix U. The minimizers over the unit sphere of coefficients are exactly
-the normalized eigenvectors for the smallest eigenvalue of U^T U, so the
-fit reduces to one symmetric eigendecomposition.
-
-We assemble and solve the N x N Gram matrix rather than an SVD of U. N is
-small at the scales this package targets (N = 126 at n=5, D=4), so the
-squared condition number of the Gram route is acceptable; an SVD of U
-would be preferred if N grew large.
+loss sum_i f(a_i)^2 = ||U c||^2, where c is f's coefficient vector and U
+the multivariate Vandermonde matrix of the cloud. The minimizers over the
+unit sphere of coefficients are the eigenvectors for the smallest
+eigenvalue of U^T U, which are the right singular vectors of U for its
+smallest singular value. The fit takes them from one SVD of U (as the
+SVD of its QR factor R), so it never forms U^T U and never squares U's
+condition number: on noise-free data lambda = s_min^2 sits at rounding
+level (about 1e-29) and is never negative. The kernel's size is numpy's
+matrix_rank rule applied to U.
 """
 
 from __future__ import annotations
@@ -47,10 +46,11 @@ RATIONAL_VALUE_TOL = 1e-4
 
 def check_fit_budget(m: int, n: int, degree: int) -> None:
     """Refuse a fit of m points in n variables at this degree when its
-    m x N Vandermonde table or N x N Gram matrix is over the dense budget
-    (EXACT_SIZE_CAP**2 entries); nothing is allocated."""
+    m x N Vandermonde table or its N x N matrix of right singular vectors
+    is over the dense budget (EXACT_SIZE_CAP**2 entries); nothing is
+    allocated."""
     N = math.comb(n + degree, degree)
-    for rows, what in ((m, "Vandermonde table"), (N, "Gram matrix")):
+    for rows, what in ((m, "Vandermonde table"), (N, "matrix of right singular vectors")):
         check_dense_budget(rows, N, f"{what} (degree {degree})")
 
 
@@ -84,27 +84,33 @@ def vandermonde(cloud: PointCloud, basis: MonomialBasis) -> np.ndarray:
     return monomials(pts, basis)
 
 
-def smallest_eigenpairs(
-    G: np.ndarray, multiplicity_tol: float
-) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue of symmetric G and an orthonormal basis of its
-    eigenspace, merging eigenvalues within multiplicity_tol of the minimum.
+def smallest_eigenpairs(U: np.ndarray) -> tuple[float, np.ndarray, int, float | None]:
+    """Smallest eigenvalue of U^T U and an orthonormal basis of its
+    kernel, from one SVD of the m x N table U.
 
-    Returns (lambda_min, V) with the basis vectors as columns of V.
+    The rank is numpy's matrix_rank rule: the count of singular values
+    above s_1 * max(m, N) * eps. The kernel is the trailing
+    max(1, N - rank) right singular vectors, smallest first, so a table
+    of full rank still yields its least singular vector. Returns
+    (lambda, V, rank, gap): lambda = s_min^2, or 0 when m < N; the basis
+    vectors as the columns of V; and gap = s_rank / s_(rank+1), the ratio
+    across the cut, None when no singular value is cut (inf when the
+    first one cut is exactly 0).
     """
-    G = np.asarray(G, dtype=float)
-    if G.ndim != 2 or G.shape[0] != G.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {G.shape}")
-    if G.shape[0] == 0:
-        raise ValueError("matrix is empty")
-    scale = float(np.linalg.norm(G))
-    if float(np.linalg.norm(G - G.T)) > 1e-10 * max(scale, 1e-300):
-        raise ValueError("matrix is not symmetric")
-    w, V = np.linalg.eigh(G)
-    lam = float(w[0])
-    k = int(np.searchsorted(w, lam + multiplicity_tol, side="right"))
-    k = max(k, 1)
-    return lam, V[:, :k]
+    U = np.asarray(U, dtype=float)
+    if U.ndim != 2 or U.size == 0:
+        raise ValueError(f"expected a non-empty 2-d table, got shape {U.shape}")
+    m, N = U.shape
+    # U = QR has R's singular values and right singular vectors; the SVD
+    # of R, at most N x N, forms no m x N left factor. When m < N only the
+    # full Vt holds the null space's vectors.
+    _, s, Vt = np.linalg.svd(np.linalg.qr(U, mode="r"), full_matrices=m < N)
+    rank = int(np.count_nonzero(s > s[0] * max(m, N) * np.finfo(float).eps))
+    lam = float(s[-1]) ** 2 if m >= N else 0.0
+    gap = None
+    if 0 < rank < len(s):
+        gap = float(s[rank - 1] / s[rank]) if s[rank] > 0 else math.inf
+    return lam, Vt[::-1][: max(1, N - rank)].T, rank, gap
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
@@ -119,8 +125,9 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MapFit:
-    """Result of fitting: the smallest eigenvalue of the Gram matrix and an
-    orthonormal basis of its (merged) eigenspace, as unit-norm polynomials."""
+    """Result of fitting: the smallest eigenvalue of U^T U and an
+    orthonormal basis of its kernel as unit-norm polynomials, with the
+    table's rank and the singular-value gap at the rank cut."""
 
     lam: float
     kernel_basis: tuple[Poly, ...]
@@ -128,38 +135,27 @@ class MapFit:
     m: int
     residual: float
     trace: float
-    multiplicity_tol: float
+    rank: int
+    gap: float | None
 
     @property
     def kernel_dim(self) -> int:
         return len(self.kernel_basis)
 
 
-def fit_map(
-    cloud: PointCloud, degree: int, multiplicity_tol: float | None = None
-) -> MapFit:
+def fit_map(cloud: PointCloud, degree: int) -> MapFit:
     """Fit a degree-<=degree polynomial model to the cloud.
 
-    multiplicity_tol defaults to 1e-9 * trace(G) / N: eigenvalues within
-    that band of the minimum are merged into the returned eigenspace.
-    Exactly zero multiplicity cannot be detected in floating point, so the
-    band stands in for the exact eigenspace of the smallest eigenvalue.
-    A given tolerance must be finite and >= 0: an infinite or NaN one
-    would merge the whole basis into the kernel.
+    The kernel comes from smallest_eigenpairs on the Vandermonde table.
+    trace is trace(U^T U) = ||U||_F^2, and residual the largest
+    eigen-residual ||U^T U v - lambda v|| over the kernel, computed
+    without forming U^T U.
     """
-    if multiplicity_tol is not None and not (
-        math.isfinite(multiplicity_tol) and multiplicity_tol >= 0
-    ):
-        raise ValueError(f"multiplicity_tol must be finite and >= 0, got {multiplicity_tol}")
     basis = enumerate_monomials(cloud.dim, degree)
     U = vandermonde(cloud, basis)
-    G = U.T @ U
-    tr = float(np.trace(G))
-    if multiplicity_tol is None:
-        multiplicity_tol = 1e-9 * tr / len(basis)
-    lam, V = smallest_eigenpairs(G, multiplicity_tol)
+    lam, V, rank, gap = smallest_eigenpairs(U)
     V = np.column_stack([_fix_sign(V[:, i]) for i in range(V.shape[1])])
-    residual = float(np.linalg.norm(G @ V - lam * V, axis=0).max())
+    residual = float(np.linalg.norm(U.T @ (U @ V) - lam * V, axis=0).max())
     kernel = tuple(Poly(basis, V[:, i]) for i in range(V.shape[1]))
     return MapFit(
         lam=lam,
@@ -167,8 +163,9 @@ def fit_map(
         degree=degree,
         m=cloud.m,
         residual=residual,
-        trace=tr,
-        multiplicity_tol=multiplicity_tol,
+        trace=float(np.vdot(U, U)),
+        rank=rank,
+        gap=gap,
     )
 
 
@@ -181,12 +178,12 @@ def map_polynomial(fit: MapFit) -> Poly:
 def intersected_map(fit: MapFit) -> Poly:
     """Single polynomial cutting out the intersection of all solutions.
 
-    With a strictly positive smallest eigenvalue the solution is essentially
-    unique and is returned as-is; with a (numerically) zero eigenvalue the
-    sum of squares of the kernel basis is returned, a degree-2D polynomial
-    vanishing exactly where every kernel element vanishes.
+    When the table has full rank the solution is essentially unique and
+    is returned as-is; when it is rank-deficient the sum of squares of the
+    kernel basis is returned, a degree-2D polynomial vanishing exactly
+    where every kernel element vanishes.
     """
-    if fit.lam > fit.multiplicity_tol:
+    if fit.rank == len(map_polynomial(fit).basis):
         return map_polynomial(fit)
     return sum_of_squares(fit.kernel_basis)
 

@@ -54,8 +54,8 @@ class ModelFile:
         seed: int | None = None,
         normalization: NormalizationRecord | None = None,
     ) -> "ModelFile":
-        # intersected_map returns the map polynomial itself when no
-        # eigenvalue is numerically zero; kind names the polynomial written.
+        # intersected_map returns the map polynomial itself when the fit's
+        # table has full rank; kind names the polynomial written.
         poly = intersected_map(fit) if intersected else map_polynomial(fit)
         return cls(
             poly=poly,

@@ -81,6 +81,23 @@ def test_fit_reports_lambda_and_kernel(tmp_path, capsys):
     assert json.loads(model_path.read_text())["seed"] is None
 
 
+def test_fit_manifest_explains_kernel_dim(tmp_path):
+    # Noise-free D = 3: one of the 20 singular values is cut, far below the
+    # rest, and lambda is its square. At D = 1 nothing is cut: gap is null.
+    cloud = tmp_path / "omega.csv"
+    run("gen", "sphere-plane", "--m", 300, "--seed", 4, "-o", cloud)
+    for degree, rank in ((3, 19), (1, 4)):
+        model_path = tmp_path / f"model{degree}.json"
+        assert run("fit", "-i", cloud, "-D", degree, "-o", model_path) == 0
+        results = json.loads((tmp_path / f"model{degree}.json.manifest.json").read_text())["results"]
+        assert (results["rank"], results["kernel_dim"]) == (rank, 1)
+        if degree == 3:
+            assert results["gap"] >= 1e10
+            assert 0 <= results["lambda"] <= 1e-20 * results["trace"]
+        else:
+            assert results["gap"] is None
+
+
 def test_fit_degree_zero_forced_constant(tmp_path):
     cloud = tmp_path / "c.csv"
     run("gen", "sphere-plane", "--m", 25, "--seed", 5, "-o", cloud)
@@ -352,8 +369,9 @@ REFUSED_INPUTS = [
     ("pipeline-max-proposals-below-m", ["pipeline", "--m", 60, "--max-proposals", 10,
                                         "--seed", 1, "--outdir", "pipe"], "max_proposals"),
     # Over the one-dense-matrix budget: the sample's points, the pipeline's
-    # cost matrix before the cloud or the outdir exists, and a fit's Gram
-    # matrix, in the pipeline for any listed degree before the outdir exists.
+    # cost matrix before the cloud or the outdir exists, and a fit's matrix
+    # of right singular vectors, in the pipeline for any listed degree
+    # before the outdir exists.
     ("sample-m-over-budget", ["sample", "--model", "sphere.json", "--m", 10**10, "--seed", 1,
                               "-o", "x.csv"],
      "10000000000 x 3 sample needs 240000000000 bytes"),
@@ -361,20 +379,10 @@ REFUSED_INPUTS = [
                                           "--outdir", "pipe"],
      "4100 x 4100 cost matrix needs 134480000 bytes"),
     ("fit-degree-40", ["fit", "-i", "tiny.csv", "-D", 40, "-o", "model.json"],
-     "12341 x 12341 Gram matrix"),
+     "12341 x 12341 matrix of right singular vectors"),
     ("pipeline-degree-over-budget", ["pipeline", "--m", 60, "--degrees", "1,40", "--seed", 1,
-                                     "--outdir", "pipe"], "12341 x 12341 Gram matrix"),
-    # A NaN or infinite band merges the whole basis into the kernel.
-    ("fit-multiplicity-tol-nan", ["fit", "-i", "a.csv", "-D", 2, "--multiplicity-tol", "nan",
-                                  "-o", "model.json"], "multiplicity_tol"),
-    ("fit-multiplicity-tol-inf", ["fit", "-i", "a.csv", "-D", 2, "--multiplicity-tol", "inf",
-                                  "-o", "model.json"], "multiplicity_tol"),
-    ("fit-multiplicity-tol-negative", ["fit", "-i", "a.csv", "-D", 2, "--multiplicity-tol", -1,
-                                       "-o", "model.json"], "multiplicity_tol"),
-    ("export-algebra-drop-tol-negative", ["export-algebra", "--model", "sphere.json",
-                                          "--drop-tol", -1, "-o", "x.sing"], "drop_tol"),
-    ("export-algebra-drop-tol-nan", ["export-algebra", "--model", "sphere.json",
-                                     "--drop-tol", "nan", "-o", "x.sing"], "drop_tol"),
+                                     "--outdir", "pipe"],
+     "12341 x 12341 matrix of right singular vectors"),
     # A generated cloud over the budget, before it is allocated.
     ("gen-m-over-budget", ["gen", "sphere-plane", "--m", 10**10, "--seed", 1, "-o", "x.csv"],
      "10000000000 x 3 cloud needs 240000000000 bytes"),
@@ -986,7 +994,7 @@ _COMMANDS = {
     ),
     "fit": (
         {"--input": _CLOUDS, "--degree": _DEGREES},
-        {"--intersected": _SWITCH, "--multiplicity-tol": _FLOATS, "--normalize": _SWITCH},
+        {"--intersected": _SWITCH, "--normalize": _SWITCH},
         ["-o", "m.json"],
     ),
     "sample": (
@@ -1006,7 +1014,7 @@ _COMMANDS = {
     ),
     "export-algebra": (
         {"--model": _MODELS},
-        {"--max-denominator": _SIZES, "--drop-tol": _FLOATS},
+        {"--max-denominator": _SIZES},
         ["-o", "a.sing"],
     ),
     "pipeline": (

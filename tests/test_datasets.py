@@ -388,10 +388,11 @@ def test_model_intersected_kind(tmp_path):
 
 
 def test_model_intersected_without_zero_eigenvalue_is_a_map(tmp_path):
-    # Noisy data: no eigenvalue is numerically zero, so intersected_map
-    # returns the degree-D map polynomial, and the file says so.
+    # Noisy data: the table has full rank (N = 10 at D = 2), so
+    # intersected_map returns the degree-D map polynomial, and the file
+    # says so.
     fit = fit_map(gen_sphere_plane(100, 0.5, seed=14, noise_sigma=0.01), 2)
-    assert fit.lam > fit.multiplicity_tol
+    assert fit.rank == 10
     model = ModelFile.from_fit(fit, intersected=True)
     assert (model.kind, model.poly.basis.degree) == ("map", 2)
     path = tmp_path / "m.json"

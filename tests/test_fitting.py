@@ -1,11 +1,19 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varietyfit import fitting
 from varietyfit.cloud import PointCloud
-from varietyfit.datasets import gen_sphere_plane, sphere_plane_polynomial
+from varietyfit.datasets import (
+    gen_noisy_line,
+    gen_sphere_plane,
+    gen_sphere_plane_singular,
+    sphere_plane_polynomial,
+)
 from varietyfit.fitting import (
     RationalizationError,
     fit_map,
@@ -53,7 +61,7 @@ def test_vandermonde_warns_on_small_excursion():
 @pytest.mark.parametrize(
     "over,under,degree,message",
     [(58662, 58661, 10, "58662 x 286 Vandermonde table \\(degree 10\\) needs 134218656 bytes"),
-     (1, 1, 28, "4495 x 4495 Gram matrix \\(degree 28\\) needs 161640200 bytes")],
+     (1, 1, 28, "4495 x 4495 matrix of right singular vectors \\(degree 28\\) needs 161640200 bytes")],
     ids=["table", "gram"],
 )
 def test_vandermonde_refuses_dense_matrices_over_budget(monkeypatch, over, under, degree, message):
@@ -85,16 +93,18 @@ def test_vandermonde_rejects_far_points_and_bad_input():
 
 
 def test_eigenpairs_identity_full_multiplicity():
-    lam, V = smallest_eigenpairs(np.eye(3), multiplicity_tol=1e-9)
+    # U^T U = I has one eigenvalue of full multiplicity, but the identity
+    # table has full rank: the kernel is its least singular vector alone.
+    lam, V, rank, gap = smallest_eigenpairs(np.eye(3))
     assert lam == pytest.approx(1.0)
-    assert V.shape == (3, 3)
-    assert np.allclose(V @ V.T, np.eye(3), atol=1e-12)
+    assert (V.shape, rank, gap) == ((3, 1), 3, None)
+    assert np.linalg.norm(V[:, 0]) == pytest.approx(1.0)
 
 
 def test_eigenpairs_diagonal_simple():
-    lam, V = smallest_eigenpairs(np.diag([0.0, 1.0, 2.0]), multiplicity_tol=1e-9)
-    assert lam == pytest.approx(0.0, abs=1e-15)
-    assert V.shape == (3, 1)
+    lam, V, rank, gap = smallest_eigenpairs(np.diag([0.0, 1.0, 2.0]))
+    assert lam == 0.0
+    assert (V.shape, rank, gap) == ((3, 1), 2, math.inf)
     assert abs(V[0, 0]) == pytest.approx(1.0)
 
 
@@ -105,21 +115,38 @@ def test_eigenpairs_known_two_dim_nullspace():
     v1, v2 = Q[:, 0], Q[:, 1]
     M = rng.standard_normal((30, n))
     A = M - (M @ v1)[:, None] * v1 - (M @ v2)[:, None] * v2
-    G = A.T @ A
-    lam, V = smallest_eigenpairs(G, multiplicity_tol=1e-9 * np.trace(G) / n)
-    assert lam <= 1e-10
-    assert V.shape[1] == 2
+    lam, V, rank, gap = smallest_eigenpairs(A)
+    assert 0.0 <= lam <= 1e-25
+    assert (V.shape, rank) == ((n, 2), n - 2)
+    assert gap >= 1e10
     for v in (v1, v2):
-        assert np.linalg.norm(v - V @ (V.T @ v)) <= 1e-8
+        assert np.linalg.norm(v - V @ (V.T @ v)) <= 1e-12
+
+
+def test_eigenpairs_full_rank_table():
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((30, 8))
+    lam, V, rank, gap = smallest_eigenpairs(A)
+    w, W = np.linalg.eigh(A.T @ A)
+    assert lam == pytest.approx(w[0], rel=1e-10)
+    assert (V.shape, rank, gap) == ((8, 1), 8, None)
+    assert abs(V[:, 0] @ W[:, 0]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_eigenpairs_wide_table_kernel_is_null_space():
+    # m < N: lambda is exactly 0 and the kernel is all N - m null vectors.
+    rng = np.random.default_rng(6)
+    A = rng.standard_normal((3, 7))
+    lam, V, rank, gap = smallest_eigenpairs(A)
+    assert (lam, V.shape, rank, gap) == (0.0, (7, 4), 3, None)
+    assert np.abs(A @ V).max() <= 1e-14
+    assert np.abs(V.T @ V - np.eye(4)).max() <= 1e-14
 
 
 def test_eigenpairs_rejects_bad_matrices():
-    with pytest.raises(ValueError):
-        smallest_eigenpairs(np.array([[1.0, 2.0], [0.0, 1.0]]), 1e-9)
-    with pytest.raises(ValueError):
-        smallest_eigenpairs(np.empty((0, 0)), 1e-9)
-    with pytest.raises(ValueError):
-        smallest_eigenpairs(np.ones((2, 3)), 1e-9)
+    for bad in (np.empty((0, 3)), np.empty((3, 0)), np.ones(3)):
+        with pytest.raises(ValueError, match="non-empty 2-d table"):
+            smallest_eigenpairs(bad)
 
 
 # -------------------------------------------------------------------- fit_map
@@ -134,19 +161,39 @@ def test_fit_diagonal_line_recovers_plane():
     assert f.coeffs == pytest.approx([s, -s, 0.0], abs=1e-10)
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
-def test_fit_refuses_bad_multiplicity_tol(tol):
-    # NaN or inf would merge the whole D = 2 basis (10 monomials) into the
-    # kernel; a negative band would merge nothing, not even the minimum.
-    cloud = gen_sphere_plane(200, 0.5, seed=1)
-    with pytest.raises(ValueError, match="multiplicity_tol"):
-        fit_map(cloud, 2, multiplicity_tol=tol)
-    assert fit_map(cloud, 2, multiplicity_tol=0.0).kernel_dim == 1
-
-
 def test_fit_single_point_kernel_dim_two():
     fit = fit_map(PointCloud(np.array([[0.3, 0.4]])), 1)
     assert fit.kernel_dim == 2
+
+
+# Noise-free generators and the degree of the variety each samples: the
+# sphere-union-plane cubic, its singular circle (a sphere and a plane) and
+# a line (two planes).
+_VARIETIES = {
+    "sphere-plane": (lambda m, seed: gen_sphere_plane(m, 0.5, seed=seed), 3),
+    "circle": (gen_sphere_plane_singular, 2),
+    "line": (lambda m, seed: gen_noisy_line(m, 0.0, seed=seed), 1),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(_VARIETIES)),
+    extra_degree=st.integers(0, 1),
+    m=st.integers(1, 200),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fit_on_a_variety_has_a_null_kernel_and_nonnegative_lambda(kind, extra_degree, m, seed):
+    # At or above the variety's degree every kernel vector is a null vector
+    # of the table up to rounding, and lambda = s_min^2 is never negative.
+    gen, degree = _VARIETIES[kind]
+    cloud = gen(m, seed)
+    fit = fit_map(cloud, degree + extra_degree)
+    assert fit.lam >= 0.0
+    U = vandermonde(cloud, map_polynomial(fit).basis)
+    bound = 1e3 * np.finfo(float).eps * np.linalg.norm(U)
+    for f in fit.kernel_basis:
+        assert np.linalg.norm(U @ f.coeffs) <= bound
 
 
 def test_fit_quadratic_form_equals_lambda():
@@ -307,7 +354,7 @@ def test_intersected_map_positive_lambda_branch():
     rng = np.random.default_rng(31)
     cloud = PointCloud(rng.random((80, 2)))
     fit = fit_map(cloud, 1)
-    assert fit.lam > fit.multiplicity_tol
+    assert fit.rank == 3
     assert np.array_equal(intersected_map(fit).coeffs, map_polynomial(fit).coeffs)
 
 
