@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .cloud import (
+    EXACT_SIZE_CAP,
     CloudFormatError,
     PointCloud,
     check_dense_budget,
@@ -37,7 +38,7 @@ from .fitting import RationalizationError, check_fit_budget, fit_map, rationaliz
 from .modelio import ModelFile, export_singular_script, load_model, save_model
 from .sampling import ProposalBudgetError, SamplerConfig, check_eta, direct_sample
 from .singular import check_epsilon, singularity_filter
-from .transport import DEFAULT_REG_FRACTION, check_reg, wasserstein_exact, wasserstein_sinkhorn
+from .transport import wasserstein_exact, wasserstein_sinkhorn
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -59,6 +60,25 @@ def _manifest_path(output) -> Path:
     return out.with_name(out.name + ".manifest.json")
 
 
+def _finite_or_null(value):
+    """value with every non-finite float, nested in dicts and lists too,
+    made None, which strict JSON can hold."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
+def _write_json(path, doc) -> None:
+    """Write doc as strict JSON: a non-finite float is written as null."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(_finite_or_null(doc), fh, indent=2, default=str, allow_nan=False)
+        fh.write("\n")
+
+
 def _write_manifest(output, args, results, started, t0) -> None:
     doc = {
         "command": args.command,
@@ -70,10 +90,7 @@ def _write_manifest(output, args, results, started, t0) -> None:
         "duration_s": time.perf_counter() - t0,
         "results": results,
     }
-    path = _manifest_path(output)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, default=str)
-        fh.write("\n")
+    _write_json(_manifest_path(output), doc)
 
 
 def _now() -> str:
@@ -224,11 +241,6 @@ def cmd_singular(args) -> dict:
     }
 
 
-def _refuse_reg_if_exact(exact: bool, reg) -> None:
-    if exact and reg is not None:
-        raise ValueError("--reg sets Sinkhorn's regularization; equal-size clouds are solved exactly")
-
-
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -242,42 +254,34 @@ def _pool(workers: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(workers, thread_name_prefix=f"varietyfit-transport-{workers}")
 
 
-def _transports(pairs, reg) -> list[dict]:
+def _transports(pairs) -> list[dict]:
     """Distance and diagnostics of the transport from a to b for each
     (a, b) in pairs, in pair order; every command's transports go here.
 
-    Equal sizes are solved exactly, others by Sinkhorn at reg, which is
-    refused if any pair is exact. Exact solves release the GIL, so an
-    all-exact list runs on up to one thread per usable CPU; Sinkhorn solves
-    each hold two dense matrices, so any other list runs one at a time.
-    A Sinkhorn solve cut short raises _NotConverged, whose message blames
-    --reg when the marginal error is NaN at a reg that was set. Every solve
-    is waited for before the first error in pair order is raised. The
-    solvers are looked up in this module at call time, so a wrapper on
-    cli.wasserstein_* (a tracer, a test double) still sees each call.
+    A pair is solved exactly when lcm(m, m') <= EXACT_SIZE_CAP, the most
+    points the exact solver repeats both clouds to, and by Sinkhorn at its
+    default reg otherwise. Exact solves release the GIL, so an all-exact
+    list runs on up to one thread per usable CPU; Sinkhorn solves each hold
+    two dense matrices, so any other list runs one at a time. A Sinkhorn
+    solve cut short raises _NotConverged. Every solve is waited for before
+    the first error in pair order is raised. The solvers are looked up in
+    this module at call time, so a wrapper on cli.wasserstein_* (a tracer,
+    a test double) still sees each call.
     """
-    exact = [a.m == b.m for a, b in pairs]
-    _refuse_reg_if_exact(any(exact), reg)
+    exact = [math.lcm(a.m, b.m) <= EXACT_SIZE_CAP for a, b in pairs]
 
-    def transport(a, b):
+    def transport(a, b, is_exact):
         # No plan is kept: it would hold its dense coupling until every
         # pair is done.
-        if a.m == b.m:
+        if is_exact:
             plan = wasserstein_exact(a, b)
         else:
-            plan = wasserstein_sinkhorn(a, b, reg=reg)
+            plan = wasserstein_sinkhorn(a, b)
             if not plan.converged:
-                message = (
+                raise _NotConverged(
                     f"sinkhorn did not converge in {plan.iterations} iterations "
                     f"(marginal error {plan.marginal_error:.3e})"
                 )
-                if reg is not None and math.isnan(plan.marginal_error):
-                    message += (
-                        f": a scaling overflowed because --reg {reg:g} is far below the "
-                        "clouds' squared distances; leaving --reg out uses the default, "
-                        f"{DEFAULT_REG_FRACTION:g} times their median"
-                    )
-                raise _NotConverged(message)
         return {
             "wasserstein": plan.cost,
             "method": plan.method,
@@ -292,7 +296,7 @@ def _transports(pairs, reg) -> list[dict]:
     # fresh threads on fresh arenas, and repeated in-process sweeps at
     # m = 1600 could then hold an extra 20 MB matrix or two.
     pool = _pool(min(len(pairs), _usable_cpus()) if all(exact) else 1)
-    futures = [pool.submit(transport, a, b) for a, b in pairs]
+    futures = [pool.submit(transport, a, b, e) for (a, b), e in zip(pairs, exact)]
     wait(futures)
     return [future.result() for future in futures]
 
@@ -300,13 +304,11 @@ def _transports(pairs, reg) -> list[dict]:
 def cmd_compare(args) -> dict:
     a = load_cloud(args.input_a)
     b = load_cloud(args.input_b)
-    (result,) = _transports([(a, b)], args.reg)
+    (result,) = _transports([(a, b)])
     distance = result.pop("wasserstein")
     print(f"wasserstein {distance:.6f} ({result['method']})")
     results = {"distance": distance} | result
-    with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(results, fh, indent=2)
-        fh.write("\n")
+    _write_json(args.output, results)
     return results
 
 
@@ -336,8 +338,7 @@ def cmd_pipeline(args) -> dict:
         eta=args.eta,
         max_proposals=args.max_proposals,
     )
-    if not (np.isfinite(args.epsilon) and args.epsilon > 0):
-        raise ValueError(f"--epsilon must be finite and > 0, got {args.epsilon}")
+    check_epsilon(args.epsilon)
     reference = load_cloud(args.reference) if args.reference else None
     # Each transport's cost matrix is the reference's size by --m, since
     # every resample has exactly --m points: refused before the cloud is
@@ -354,13 +355,8 @@ def cmd_pipeline(args) -> dict:
         reference = _GENERATORS[args.kind](args.m, args.seed, 0.0, args.plane_fraction)
     else:
         reference = cloud
-    # The same sizes pick the solver of every degree's transport, so a
-    # --reg that an exact sweep would refuse or Sinkhorn would refuse, and
-    # every degree's Vandermonde table and matrix of right singular
-    # vectors, are checked before any fit.
-    _refuse_reg_if_exact(reference.m == args.m, args.reg)
-    if args.reg is not None:
-        check_reg(args.reg)
+    # Every degree's Vandermonde table and matrix of right singular vectors
+    # are checked before any fit.
     for degree in degrees:
         check_fit_budget(cloud.m, cloud.dim, degree)
 
@@ -387,6 +383,8 @@ def cmd_pipeline(args) -> dict:
                 "D": degree,
                 "lambda": fit.lam,
                 "kernel_dim": fit.kernel_dim,
+                "rank": fit.rank,
+                "gap": fit.gap,
                 "wasserstein": None,
                 "singular_count": report.accepted_count,
                 "acceptance_rate": stats["acceptance_rate"],
@@ -396,7 +394,7 @@ def cmd_pipeline(args) -> dict:
             }
         )
 
-    for row, result in zip(rows, _transports(pairs, args.reg)):
+    for row, result in zip(rows, _transports(pairs)):
         row.update(result)
         print(
             f"D={row['D']}: lambda={row['lambda']:.3e} kernel_dim={row['kernel_dim']} "
@@ -460,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="Wasserstein distance between two clouds")
     p.add_argument("--input-a", required=True)
     p.add_argument("--input-b", required=True)
-    p.add_argument("--reg", type=float, default=None, help="Sinkhorn regularization (unequal sizes only)")
     p.add_argument("--output", "-o", required=True, help="metrics JSON path")
     p.set_defaults(func=cmd_compare)
 
@@ -481,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, default=1e-3)
     p.add_argument("--epsilon", type=float, default=0.02)
     p.add_argument("--max-proposals", type=int, default=None)
-    p.add_argument("--reg", type=float, default=None, help="Sinkhorn regularization (--reference of another size only)")
     p.add_argument("--reference", default=None, help="reference cloud CSV (default: noise-free regeneration)")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--outdir", required=True)

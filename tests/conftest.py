@@ -150,4 +150,4 @@ def distance_to_line(points: np.ndarray, anchor, direction) -> np.ndarray:
 def exact_costs(pairs) -> list[float]:
     """The exact distance of each equal-size (a, b) in pairs, in pair order,
     solved concurrently by the CLI's transport stage."""
-    return [result["wasserstein"] for result in _transports(pairs, None)]
+    return [result["wasserstein"] for result in _transports(pairs)]

@@ -3,6 +3,7 @@ import functools
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,9 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varietyfit import cli, transport
+from varietyfit import cli
 from varietyfit.cli import main
-from varietyfit.cloud import PointCloud, load_cloud, save_cloud
+from varietyfit.cloud import EXACT_SIZE_CAP, PointCloud, load_cloud, save_cloud
 from varietyfit.datasets import gen_sphere_plane
 from varietyfit.fitting import fit_map, map_polynomial
 from varietyfit.modelio import ModelFile, load_model, save_model
@@ -96,6 +97,18 @@ def test_fit_manifest_explains_kernel_dim(tmp_path):
             assert 0 <= results["lambda"] <= 1e-20 * results["trace"]
         else:
             assert results["gap"] is None
+
+
+def test_manifest_writes_a_non_finite_float_as_null(tmp_path):
+    # Three copies of the origin: the first cut singular value is exactly 0,
+    # so the gap is inf, which strict JSON has no token for.
+    cloud, model = tmp_path / "origin.csv", tmp_path / "model.json"
+    save_cloud(PointCloud([[0.0, 0.0]] * 3), cloud)
+    assert run("fit", "-i", cloud, "-D", 1, "-o", model) == 0
+    text = (tmp_path / "model.json.manifest.json").read_text()
+    results = json.loads(text, parse_constant=_refuse_constant)["results"]
+    assert fit_map(load_cloud(cloud), 1).gap == np.inf
+    assert (results["rank"], results["gap"]) == (1, None)
 
 
 def test_fit_degree_zero_forced_constant(tmp_path):
@@ -226,10 +239,26 @@ def test_compare_self_is_zero(tmp_path, capsys):
     assert doc["method"] == "exact-assignment"
 
 
-def test_compare_unequal_sizes_uses_sinkhorn(tmp_path):
+def test_compare_unequal_sizes_within_budget_are_exact(tmp_path):
+    # lcm(50, 70) = 350 copies of each cloud fit the budget: solved exactly,
+    # as the library solves that pair.
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run("gen", "sphere-plane-singular", "--m", 50, "--seed", 13, "-o", a)
     run("gen", "sphere-plane-singular", "--m", 70, "--seed", 14, "-o", b)
+    metrics = tmp_path / "m.json"
+    assert run("compare", "--input-a", a, "--input-b", b, "-o", metrics) == 0
+    doc = json.loads(metrics.read_text())
+    plan = wasserstein_exact(load_cloud(a), load_cloud(b))
+    assert (doc["method"], doc["distance"], doc["iterations"]) == (
+        "exact-assignment", plan.cost, 0
+    )
+
+
+def test_compare_unequal_sizes_uses_sinkhorn(tmp_path):
+    # 50 and 83 are coprime, so their lcm, 4150, is over the exact budget.
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    run("gen", "sphere-plane-singular", "--m", 50, "--seed", 13, "-o", a)
+    run("gen", "sphere-plane-singular", "--m", 83, "--seed", 14, "-o", b)
     metrics = tmp_path / "m.json"
     assert run("compare", "--input-a", a, "--input-b", b, "-o", metrics) == 0
     doc = json.loads(metrics.read_text())
@@ -243,21 +272,11 @@ def test_compare_unequal_sizes_uses_sinkhorn(tmp_path):
     assert 1.0 <= doc["omega"] < 2.0
 
 
-@pytest.mark.parametrize("reg", ["inf", "nan", "0", "-1"])
-def test_compare_rejects_bad_reg(tmp_path, reg):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    run("gen", "sphere-plane-singular", "--m", 20, "--seed", 13, "-o", a)
-    run("gen", "sphere-plane-singular", "--m", 30, "--seed", 14, "-o", b)
-    metrics = tmp_path / "m.json"
-    assert run("compare", "--input-a", a, "--input-b", b, "--reg", reg, "-o", metrics) == 2
-    assert not metrics.exists()
-
-
 def test_compare_equal_clouds_over_budget_exit_2(tmp_path, monkeypatch, capsys):
     def no_cost_matrix(*args, **kwargs):
         raise AssertionError("cost matrix built")
 
-    monkeypatch.setattr(transport, "cdist", no_cost_matrix)
+    monkeypatch.setattr("scipy.spatial.distance.cdist", no_cost_matrix)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     rng = np.random.default_rng(20)
     for path in (a, b):
@@ -277,12 +296,15 @@ def test_compare_equal_clouds_over_budget_exit_2(tmp_path, monkeypatch, capsys):
         ["pipeline", "--m", 50, "--seed", 1, "--compare-method", "auto", "--outdir", "pipe"],
         ["sample", "--model", "model.json", "--method", "rejection", "--m", 10, "--seed", 1,
          "-o", "x.csv"],
+        ["compare", "--input-a", "a.csv", "--input-b", "b.csv", "--reg", 0.1, "-o", "m.json"],
+        ["pipeline", "--m", 50, "--seed", 1, "--reg", 0.1, "--outdir", "pipe"],
     ],
-    ids=["compare-method", "pipeline-compare-method", "sample-method"],
+    ids=["compare-method", "pipeline-compare-method", "sample-method", "compare-reg",
+         "pipeline-reg"],
 )
 def test_solver_choice_is_not_a_flag(tmp_path, monkeypatch, argv):
-    # The cloud sizes pick the solver, and there is one sampler; no flag
-    # chooses either.
+    # The cloud sizes pick the solver and Sinkhorn's regularization, and there
+    # is one sampler; no flag chooses any of them.
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         run(*argv)
@@ -306,23 +328,8 @@ REFUSED_INPUTS = [
     ("pipeline-line-plane-fraction", ["pipeline", "--kind", "noisy-line", "--m", 60,
                                       "--plane-fraction", 0.7, "--seed", 1, "--outdir", "pipe"],
      "--plane-fraction"),
-    ("compare-reg-equal-sizes", ["compare", "--input-a", "a.csv", "--input-b", "b.csv",
-                                 "--reg", 0.5, "-o", "m.json"], "--reg"),
-    ("pipeline-reg-exact", ["pipeline", "--m", 60, "--reg", 0.5, "--seed", 1,
-                            "--outdir", "pipe"], "--reg"),
     ("pipeline-reference-2d", ["pipeline", "--m", 60, "--reference", "flat.csv", "--seed", 1,
                                "--outdir", "pipe"], "dimension 2"),
-    # A reference of another size picks Sinkhorn, whose reg is checked
-    # before any fit: at --eta 0.05 the D = 3 sample would warn first.
-    ("pipeline-reg-nan", ["pipeline", "--m", 60, "--degrees", "1,3", "--eta", 0.05,
-                          "--reference", "tiny.csv", "--reg", "nan", "--seed", 1,
-                          "--outdir", "pipe"], "reg must be finite and > 0"),
-    ("pipeline-reg-negative", ["pipeline", "--m", 60, "--degrees", "1,3", "--eta", 0.05,
-                               "--reference", "tiny.csv", "--reg", -1, "--seed", 1,
-                               "--outdir", "pipe"], "reg must be finite and > 0"),
-    ("pipeline-reg-inf", ["pipeline", "--m", 60, "--degrees", "1,3", "--eta", 0.05,
-                          "--reference", "tiny.csv", "--reg", "inf", "--seed", 1,
-                          "--outdir", "pipe"], "reg must be finite and > 0"),
     ("gen-m-0", ["gen", "sphere-plane", "--m", 0, "--seed", 1, "-o", "x.csv"], "--m"),
     ("gen-sphere-plane-sigma-negative", ["gen", "sphere-plane", "--m", 40, "--sigma", -0.1,
                                          "--seed", 1, "-o", "x.csv"], "sigma"),
@@ -342,7 +349,7 @@ REFUSED_INPUTS = [
     ("pipeline-eta-0", ["pipeline", "--m", 60, "--eta", 0, "--seed", 1, "--outdir", "pipe"],
      "eta"),
     ("pipeline-epsilon-0", ["pipeline", "--m", 60, "--epsilon", 0, "--degrees", 1,
-                            "--seed", 1, "--outdir", "pipe"], "--epsilon"),
+                            "--seed", 1, "--outdir", "pipe"], "epsilon must be finite and > 0"),
     # A non-finite band or threshold accepts everything.
     ("sample-eta-inf", ["sample", "--model", "sphere.json", "--m", 10, "--eta", "inf",
                         "--seed", 1, "-o", "x.csv"], "eta"),
@@ -365,7 +372,7 @@ REFUSED_INPUTS = [
     ("pipeline-eta-inf", ["pipeline", "--m", 60, "--eta", "inf", "--seed", 1,
                           "--outdir", "pipe"], "eta"),
     ("pipeline-epsilon-inf", ["pipeline", "--m", 60, "--epsilon", "inf", "--degrees", 1,
-                              "--seed", 1, "--outdir", "pipe"], "--epsilon"),
+                              "--seed", 1, "--outdir", "pipe"], "epsilon must be finite and > 0"),
     ("pipeline-max-proposals-below-m", ["pipeline", "--m", 60, "--max-proposals", 10,
                                         "--seed", 1, "--outdir", "pipe"], "max_proposals"),
     # Over the one-dense-matrix budget: the sample's points, the pipeline's
@@ -544,7 +551,13 @@ def test_pipeline_writes_distance_table(tmp_path):
     assert len(manifest["results"]["table"]) == 2
     # band quantiles go to the manifest only, not to distances.csv
     assert lines[0] == "D,lambda,kernel_dim,wasserstein,singular_count,acceptance_rate"
+    cloud = load_cloud(outdir / "omega.csv")
+    assert manifest["results"]["table"][0]["gap"] is None
+    assert manifest["results"]["table"][1]["gap"] >= 1e10
     for row in manifest["results"]["table"]:
+        # Each row explains its kernel_dim as fit's manifest does.
+        fit = fit_map(cloud, row["D"])
+        assert (row["rank"], row["gap"], row["kernel_dim"]) == (fit.rank, fit.gap, fit.kernel_dim)
         band = [row["band_distance_quantiles"][k] for k in ("50", "90", "99")]
         assert 0 < band[0] <= band[1] <= band[2] < np.inf
         # transport diagnostics go to the manifest only, too
@@ -639,13 +652,12 @@ def test_pipeline_runs_only_exact_transports_concurrently(
     tmp_path, monkeypatch, method, workers
 ):
     # Each Sinkhorn solve holds several dense matrices, so those stay serial.
-    # A 150-point reference against 120-point resamples picks Sinkhorn;
-    # reg = 0.005 converges well inside the 20000-iteration cap on all three
-    # degrees of this seed.
+    # A 121-point reference against 120-point resamples (lcm 14520) picks
+    # Sinkhorn, whose default reg converges on all three degrees of this seed.
     extra = []
     if method == "sinkhorn":
-        save_cloud(gen_sphere_plane(150, 0.5, seed=20), tmp_path / "ref.csv")
-        extra = ["--reference", tmp_path / "ref.csv", "--reg", 0.005]
+        save_cloud(gen_sphere_plane(121, 0.5, seed=20), tmp_path / "ref.csv")
+        extra = ["--reference", tmp_path / "ref.csv"]
     pools = []
     pool = cli._pool
 
@@ -669,18 +681,19 @@ def test_pipeline_runs_only_exact_transports_concurrently(
 
 @settings(max_examples=40, deadline=None)
 @given(
-    # (m, m') per pair; None makes m' = m, an exact pair.
-    sizes=st.lists(st.tuples(st.integers(2, 9), st.none() | st.integers(2, 9)),
+    # (m, m') per pair; None makes m' = m. Pairs of 2-9 points are exact,
+    # and the coprime pairs' lcm of 4160 to 4970 is Sinkhorn's.
+    sizes=st.lists(st.tuples(st.integers(2, 9), st.none() | st.integers(2, 9))
+                   | st.sampled_from([(64, 65), (61, 68), (71, 70)]),
                    min_size=1, max_size=4),
     cpus=st.integers(1, 3),
-    reg=st.none() | st.just(0.05),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_transports_equal_one_pair_at_a_time(sizes, cpus, reg, seed):
+def test_transports_equal_one_pair_at_a_time(sizes, cpus, seed):
     rng = np.random.default_rng(seed)
     pairs = [(PointCloud(rng.random((m, 2))), PointCloud(rng.random((mp or m, 2))))
              for m, mp in sizes]
-    exact = [a.m == b.m for a, b in pairs]
+    exact = [math.lcm(a.m, b.m) <= EXACT_SIZE_CAP for a, b in pairs]
     pools, solves = [], []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "_usable_cpus", lambda: cpus)
@@ -689,20 +702,14 @@ def test_transports_equal_one_pair_at_a_time(sizes, cpus, reg, seed):
         for name in ("wasserstein_exact", "wasserstein_sinkhorn"):
             patch.setattr(cli, name, lambda *args, solve=getattr(cli, name), **kwargs:
                           solves.append(args) or solve(*args, **kwargs))
-        if reg is not None and any(exact):
-            # Refused before any solve is scheduled.
-            with pytest.raises(ValueError, match="--reg"):
-                cli._transports(pairs, reg)
-            assert pools == [] and solves == []
-            return
-        plans = [wasserstein_exact(a, b) if a.m == b.m else wasserstein_sinkhorn(a, b, reg=reg)
-                 for a, b in pairs]
+        plans = [wasserstein_exact(a, b) if e else wasserstein_sinkhorn(a, b)
+                 for (a, b), e in zip(pairs, exact)]
         solves.clear()
         if not all(plan.converged for plan in plans):
             with pytest.raises(cli._NotConverged):
-                cli._transports(pairs, reg)
+                cli._transports(pairs)
         else:
-            results = cli._transports(pairs, reg)
+            results = cli._transports(pairs)
             assert [(r["wasserstein"], r["method"], r["iterations"]) for r in results] == [
                 (plan.cost, plan.method, plan.iterations) for plan in plans
             ]
@@ -799,34 +806,13 @@ def test_compare_nonconvergence_exits_3_without_manifest(tmp_path, monkeypatch, 
     monkeypatch.setattr(
         cli, "wasserstein_sinkhorn", functools.partial(cli.wasserstein_sinkhorn, max_iters=1)
     )
+    # 64 and 65 points: lcm 4160, over the exact budget, so Sinkhorn.
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    run("gen", "sphere-plane-singular", "--m", 20, "--seed", 13, "-o", a)
-    run("gen", "sphere-plane-singular", "--m", 30, "--seed", 14, "-o", b)
+    run("gen", "sphere-plane-singular", "--m", 64, "--seed", 13, "-o", a)
+    run("gen", "sphere-plane-singular", "--m", 65, "--seed", 14, "-o", b)
     metrics = tmp_path / "m.json"
     assert run("compare", "--input-a", a, "--input-b", b, "-o", metrics) == 3
     assert "did not converge" in capsys.readouterr().err
-    assert not metrics.exists()
-    assert not (tmp_path / "m.json.manifest.json").exists()
-
-
-def test_compare_sinkhorn_nan_exits_3_with_only_the_error(tmp_path, capsys):
-    # At a reg this far below the squared distances a scaling overflows and
-    # the marginal error turns NaN: the solve stops there, and stderr holds
-    # the error line and no numpy warning.
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    run("gen", "sphere-plane", "--m", 200, "--seed", 1, "-o", a)
-    run("gen", "sphere-plane", "--m", 100, "--seed", 2, "-o", b)
-    metrics = tmp_path / "m.json"
-    capsys.readouterr()
-    # The warnings module would print a warning to stderr outside pytest.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert run("compare", "--input-a", a, "--input-b", b, "--reg", 1e-30, "-o", metrics) == 3
-    assert [str(w.message) for w in caught] == []
-    err = capsys.readouterr().err
-    assert err.startswith("error: sinkhorn did not converge")
-    assert "marginal error nan" in err
-    assert "--reg" in err
     assert not metrics.exists()
     assert not (tmp_path / "m.json.manifest.json").exists()
 
@@ -858,9 +844,10 @@ def test_pipeline_nonconvergence_exits_3_without_manifest(tmp_path, monkeypatch,
     monkeypatch.setattr(
         cli, "wasserstein_sinkhorn", functools.partial(cli.wasserstein_sinkhorn, max_iters=1)
     )
-    # A 150-point reference against 100-point resamples picks Sinkhorn.
+    # A 101-point reference against 100-point resamples (lcm 10100) picks
+    # Sinkhorn.
     reference = tmp_path / "ref.csv"
-    save_cloud(gen_sphere_plane(150, 0.5, seed=1), reference)
+    save_cloud(gen_sphere_plane(101, 0.5, seed=1), reference)
     outdir = tmp_path / "pipe"
     assert run("pipeline", "--m", 100, "--seed", 1, "--degrees", "1,3",
                "--reference", reference, "--outdir", outdir) == 3
@@ -1009,7 +996,7 @@ _COMMANDS = {
     ),
     "compare": (
         {"--input-a": _CLOUDS, "--input-b": _CLOUDS},
-        {"--reg": _FLOATS},
+        {},
         ["-o", "c.json"],
     ),
     "export-algebra": (
@@ -1022,12 +1009,15 @@ _COMMANDS = {
         {"--kind": st.sampled_from(list(cli._GENERATORS)), "--sigma": _FLOATS,
          "--plane-fraction": _FLOATS,
          "--degrees": _values(["1", "0", "1,3"], ["-1", "1,1", "x", "1,40"]),
-         "--eta": _FLOATS, "--epsilon": _FLOATS, "--reg": _FLOATS,
-         "--reference": _CLOUDS},
+         "--eta": _FLOATS, "--epsilon": _FLOATS, "--reference": _CLOUDS},
         ["--outdir", "pipe"],
     ),
 }
 _INPUT_FLAGS = {"--input", "--model", "--input-a", "--input-b", "--reference"}
+
+
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not strict JSON")
 
 
 @st.composite
@@ -1079,4 +1069,4 @@ def test_main_exit_code_contract(cli_inputs, case):
             if path.suffix == ".csv" and path.name != "distances.csv":
                 assert path.read_bytes() == b"" or load_cloud(path).m > 0
             elif path.suffix == ".json":
-                json.loads(path.read_text())
+                json.loads(path.read_text(), parse_constant=_refuse_constant)

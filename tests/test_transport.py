@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import linear_sum_assignment, linprog
 from scipy.spatial.distance import cdist
 
 from varietyfit import transport
@@ -109,9 +109,21 @@ def test_translation_covariance():
 def test_exact_validation_errors():
     rng = np.random.default_rng(8)
     a = PointCloud(rng.random((4, 2)))
-    b = PointCloud(rng.random((5, 2)))
-    with pytest.raises(ValueError, match="sinkhorn"):
-        wasserstein_exact(a, b)
+    # Coprime sizes repeat to an lcm over the budget, refused before any
+    # point is repeated: the 10100 copies of either cloud would take 161600
+    # bytes.
+    b, c = PointCloud(rng.random((100, 2))), PointCloud(rng.random((101, 2)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=(
+            "exact transport of 100 against 101 points repeats both to their lcm, 10100: "
+            "a 10100 x 10100 cost matrix needs 816080000 bytes"
+        )):
+            wasserstein_exact(b, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 * 10100
     with pytest.raises(ValueError):
         wasserstein_exact(a, PointCloud(rng.random((4, 3))))
     with pytest.raises(ValueError):
@@ -548,6 +560,68 @@ def test_warm_started_assignment_is_exact(kind, m, dim, seed):
         assert abs(plan.cost - expected) <= 1e-12 * expected
 
 
+# HiGHS's default feasibility tolerances, 1e-7, let it stop at a vertex up to
+# 3e-8 above the optimum on some collinear clouds; at 1e-10 its optimum is the
+# 1-d sorted matching's to rounding.
+_HIGHS_TOLERANCES = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+
+
+def _linprog_cost(C: np.ndarray) -> float:
+    """Optimal sum_ij P_ij C_ij over uniform couplings P, by HiGHS."""
+    m, mp = C.shape
+    rows = np.kron(np.eye(m), np.ones(mp))
+    cols = np.kron(np.ones(m), np.eye(mp))
+    marginals = np.concatenate([np.full(m, 1.0 / m), np.full(mp, 1.0 / mp)])
+    result = linprog(C.ravel(), A_eq=np.vstack([rows, cols]), b_eq=marginals, method="highs",
+                     options=_HIGHS_TOLERANCES)
+    assert result.status == 0, result.message
+    return float(result.fun)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(WARM_START_KINDS),
+    m=st.integers(1, 24),
+    mp=st.integers(1, 24),
+    dim=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exact_unequal_sizes_match_linear_program(kind, m, mp, dim, seed):
+    # Both clouds repeated to lcm(m, m') <= 552 points ("duplicated" puts
+    # both on a grid, so points repeat before they are copied).
+    a, b = _warm_start_clouds(kind, max(m, mp), dim, seed)
+    a, b = PointCloud(a.points[:m]), PointCloud(b.points[:mp])
+    plan = wasserstein_exact(a, b)
+    expected = _linprog_cost(cdist(a.points, b.points, metric="sqeuclidean"))
+    assert plan.method == "exact-assignment"
+    assert math.isclose(plan.cost**2, expected, rel_tol=1e-12, abs_tol=1e-300)
+    assert plan.coupling.shape == (m, mp) and plan.coupling.min() >= 0
+    assert np.allclose(plan.coupling.sum(axis=1), 1.0 / m, rtol=1e-12, atol=0)
+    assert np.allclose(plan.coupling.sum(axis=0), 1.0 / mp, rtol=1e-12, atol=0)
+
+
+def test_exact_puts_the_repeated_cloud_on_the_columns(monkeypatch):
+    # The assignment solver breaks ties toward a free column, so the cloud
+    # with more copies of each point is its columns: as its rows, the copies
+    # of 1 point against 4096 points took 51 s instead of 0.7 s (2-core
+    # x86_64).
+    rng = np.random.default_rng(23)
+    a, b = PointCloud(rng.random((2, 3))), PointCloud(rng.random((6, 3)))
+    seen = []
+    cost_matrix = transport._cost_matrix
+
+    def spy(x, y, out=None):
+        seen.append((len(np.unique(x.points, axis=0)), len(np.unique(y.points, axis=0))))
+        return cost_matrix(x, y, out)
+
+    monkeypatch.setattr(transport, "_cost_matrix", spy)
+    ab, ba = wasserstein_exact(a, b), wasserstein_exact(b, a)
+    # Rows are b's 6 points either way, columns three copies of each of a's 2.
+    assert seen == [(6, 2)] * 4
+    assert ab.cost == ba.cost
+    assert np.array_equal(ab.coupling, ba.coupling.T)
+
+
 def _spy_on_assignment(monkeypatch) -> list:
     """Record a copy of every matrix transport passes to the assignment solver."""
     seen = []
@@ -556,7 +630,7 @@ def _spy_on_assignment(monkeypatch) -> list:
         seen.append(np.array(C))
         return linear_sum_assignment(C)
 
-    monkeypatch.setattr(transport, "linear_sum_assignment", spy)
+    monkeypatch.setattr("scipy.optimize.linear_sum_assignment", spy)
     return seen
 
 
@@ -750,7 +824,7 @@ def test_solvers_refuse_cost_matrix_over_budget(monkeypatch, solver, m, mp, nbyt
     def no_cost_matrix(*args, **kwargs):
         raise AssertionError("cost matrix built")
 
-    monkeypatch.setattr(transport, "cdist", no_cost_matrix)
+    monkeypatch.setattr("scipy.spatial.distance.cdist", no_cost_matrix)
     a, b = PointCloud(np.zeros((m, 1))), PointCloud(np.zeros((mp, 1)))
     with pytest.raises(ValueError, match=f"{m} x {mp} cost matrix needs {nbytes} bytes"):
         solver(a, b)
