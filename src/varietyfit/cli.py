@@ -260,9 +260,11 @@ def _transports(pairs) -> list[dict]:
 
     A pair is solved exactly when lcm(m, m') <= EXACT_SIZE_CAP, the most
     points the exact solver repeats both clouds to, and by Sinkhorn at its
-    default reg otherwise. Exact solves release the GIL, so an all-exact
-    list runs on up to one thread per usable CPU; Sinkhorn solves each hold
-    two dense matrices, so any other list runs one at a time. A Sinkhorn
+    default reg otherwise. An all-exact list runs on up to one thread per
+    usable CPU: transport prepares one exact solve at a time, beside the
+    other threads' assignments, which release the GIL, so each thread
+    holds at most one cost matrix. Sinkhorn solves each hold two dense
+    matrices, so any other list runs one at a time. A Sinkhorn
     solve cut short raises _NotConverged. Every solve is waited for before
     the first error in pair order is raised. The solvers are looked up in
     this module at call time, so a wrapper on cli.wasserstein_* (a tracer,

@@ -22,6 +22,9 @@ CUBE_SLACK = 0.05
 # MiB): transport's cost matrix, fitting's Vandermonde table and its
 # matrix of right singular vectors, and a sample's points.
 EXACT_SIZE_CAP = 4096
+# save_cloud formats this many rows per string, so a cloud at the dense
+# budget is not written from one giant string.
+SAVE_CHUNK_ROWS = 4096
 
 
 def check_dense_budget(rows: int, cols: int, what: str) -> None:
@@ -138,9 +141,17 @@ def normalize_to_unit_cube(cloud: PointCloud) -> tuple[PointCloud, Normalization
 def save_cloud(cloud: PointCloud, path) -> None:
     """Write one point per row as comma-separated full-precision decimals.
 
-    An empty cloud gives an empty file, which load_cloud refuses.
+    The bytes are np.savetxt(path, points, fmt="%.17g", delimiter=",")'s,
+    but each chunk of SAVE_CHUNK_ROWS rows is formatted by one % on a
+    repeated row template, about twice as fast as savetxt's row-by-row
+    formatting at 1600 x 3. An empty cloud gives an empty file, which
+    load_cloud refuses.
     """
-    np.savetxt(path, cloud.points, fmt="%.17g", delimiter=",")
+    row = ",".join(["%.17g"] * cloud.dim) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        for start in range(0, cloud.m, SAVE_CHUNK_ROWS):
+            chunk = cloud.points[start : start + SAVE_CHUNK_ROWS]
+            fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def load_cloud(path) -> PointCloud:

@@ -19,21 +19,40 @@ C_ij - f_i - g_j: every assignment's total moves by the same sum of f and
 g, so the optimal assignments are the same, and the cost is read off the
 matched pairs' unshifted squared distances, so it stays exact. The
 reductions, the kernel and the shifted problem all live in the one (L, L)
-buffer the cost matrix is built in, refilled once from the clouds before
-the shift.
+buffer the cost matrix is built in. cdist fills it first (_cost_matrix,
+which refuses clouds over the budget or whose squared distances
+overflow); every later fill, with the row minima subtracted, then the
+column minima too, then the duals f, g, is one GEMM on augmented
+coordinates straight from the points (see _shifted_costs), so no pass
+over the matrix subtracts a row or column constant. Where the warm start
+falls back to zero duals, cdist refills the buffer instead, and the
+solver gets the raw matrix.
+
+Exact solves are prepared one at a time: the first fill, the warm start
+and the shifted matrix run under a process-wide lock, the assignment, the
+read-off of the cost and the coupling outside it. A preparation is
+hundreds of short NumPy calls, each of which takes the GIL, so two side
+by side trade it and each slows down (a warm start at m = 1600 took
+0.052-0.065 s alone and 0.078-0.093 s beside another), while the
+assignment is one long call that releases the GIL, beside which a
+preparation keeps about its own speed (0.053-0.068 s; 8 runs each). With
+the lock, one solve's preparation overlaps another's assignment: in
+`pipeline --m 1600`'s three concurrent solves no two preparations
+overlap, and the whole op took 0.42 s against 0.52 s without the lock
+(median of 16 in-process ops, 2-core x86_64). The lock adds no dense
+matrix: a solve waiting on it has not allocated its own.
 
 The sweeps run on a float32 Gibbs kernel held in the first half of that
 float64 buffer, one pass over blocks of WARM_START_ROW_BLOCK rows per
 sweep. Each block's two products are small float32 matrix-vector
 products on a block that stays in cache, so a sweep takes about 0.8 ms at
-m = 1600 whether or not OpenBLAS threads it, and whether or not another
-thread's assignment solve holds the other core. A whole-matrix float64
-sweep takes 1.8 ms on one thread; handed to OpenBLAS's thread pool while
-the pipeline's concurrent solves hold both cores, its 90th percentile
-reached 15 ms (2-core x86_64, OpenBLAS 0.3.31). Scalings that leave
-[1 / ABSORB_BOUND, ABSORB_BOUND] are folded into the kernel in place, as
-Sinkhorn folds them into its potentials, so no float32 product in a
-sweep is subnormal.
+m = 1600 whether or not OpenBLAS threads it, and beside another thread's
+assignment solve. A whole-matrix float64 sweep takes 1.8 ms on one
+thread; handed to OpenBLAS's thread pool while the pipeline's concurrent
+solves hold both cores, its 90th percentile reached 15 ms (2-core x86_64,
+OpenBLAS 0.3.31). Scalings that leave [1 / ABSORB_BOUND, ABSORB_BOUND]
+are folded into the kernel in place, as Sinkhorn folds them into its
+potentials, so no float32 product in a sweep is subnormal.
 
 The Sinkhorn update is over-relaxed, u <- u * (mu / (u * K v))^omega and
 then v <- v * (nu / (v * K^T u))^omega (Thibault, Chizat, Dossal &
@@ -72,6 +91,7 @@ command that transports pays for its import.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,6 +137,12 @@ WARM_START_EPS_FRACTION = 0.02
 WARM_START_SWEEPS = 60
 WARM_START_ROW_BLOCK = 128
 WARM_START_EXP_CAP = float(math.floor(-math.log(ABSORB_BOUND * float(np.finfo(np.float32).tiny))))
+# _shifted_costs' products take this many rows of the cost matrix each.
+_SHIFT_ITEM_ROWS = 16
+# wasserstein_exact prepares one solve at a time process-wide: the cost
+# matrix, the warm start and the shifted matrix are built under this lock,
+# the assignment outside it.
+_PREPARE_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -189,15 +215,42 @@ def _paired_sqeuclidean(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _subtract_duals(C: np.ndarray, f: np.ndarray, g: np.ndarray) -> None:
-    """C_ij <- (C_ij - f_i) - g_j in place.
+def _shifted_costs(x: np.ndarray, y: np.ndarray, f: np.ndarray, g: np.ndarray, out: np.ndarray) -> None:
+    """out_ij <- |x_i - y_j|^2 - f_i - g_j for (L, n) and (L', n) point
+    arrays x, y, by one matrix product on augmented coordinates.
 
-    Row by row, because a broadcast ufunc takes a 64 KiB iterator buffer,
-    a twentieth of the whole matrix at m = 400.
+    Both clouds are centered on the midpoint of their joint bounding box,
+    so no coordinate exceeds half the box's width. The row table's rows
+    are [x_i - mid, |x_i - mid|^2 - f_i, 1], the column table's columns
+    [-2 (y_j - mid), 1, |y_j - mid|^2 - g_j], and their product is the
+    shifted cost to within a few ulps of the box's squared diagonal plus
+    max |f| and max |g|. The (n + 2, L') column table is built whole, the
+    row table one block of WARM_START_ROW_BLOCK rows at a time, and each
+    block is one stacked product of _SHIFT_ITEM_ROWS-row items written
+    straight into out: a 16 x 5 by 5 x 1600 product stays below OpenBLAS's
+    threading threshold, so the build runs on the calling thread. No
+    broadcast ufunc touches out, which would take a 64 KiB iterator buffer,
+    a twentieth of the whole matrix at L = 400.
     """
-    for row, fi in zip(C, f):
-        row -= fi
-        row -= g
+    n = x.shape[1]
+    mid = 0.5 * (np.minimum(x.min(axis=0), y.min(axis=0)) + np.maximum(x.max(axis=0), y.max(axis=0)))
+    cols = np.empty((n + 2, len(y)))
+    np.subtract(y.T, mid[:, None], out=cols[:n])
+    np.einsum("ij,ij->j", cols[:n], cols[:n], out=cols[n + 1])
+    cols[n + 1] -= g
+    cols[n] = 1.0
+    cols[:n] *= -2.0
+    for b0 in range(0, len(x), WARM_START_ROW_BLOCK):
+        xb, fb, ob = (arr[b0 : b0 + WARM_START_ROW_BLOCK] for arr in (x, f, out))
+        rows = np.empty((len(xb), n + 2))
+        np.subtract(xb, mid, out=rows[:, :n])
+        np.einsum("ij,ij->i", rows[:, :n], rows[:, :n], out=rows[:, n])
+        rows[:, n] -= fb
+        rows[:, n + 1] = 1.0
+        k = len(xb) - len(xb) % _SHIFT_ITEM_ROWS
+        np.matmul(rows[:k].reshape(-1, _SHIFT_ITEM_ROWS, n + 2), cols,
+                  out=ob[:k].reshape(-1, _SHIFT_ITEM_ROWS, ob.shape[1]))
+        np.matmul(rows[k:], cols, out=ob[k:])
 
 
 def _absorb(K: np.ndarray, u: np.ndarray, v: np.ndarray, blocks: list[slice]) -> None:
@@ -214,12 +267,13 @@ def _absorb(K: np.ndarray, u: np.ndarray, v: np.ndarray, blocks: list[slice]) ->
         np.maximum(K[b], floor, out=K[b])
 
 
-def _warm_start_duals(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Approximate assignment duals f, g for the square cost matrix C, which
-    is overwritten.
+def _warm_start_duals(C: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Approximate assignment duals f, g for the square cost matrix C of
+    the point arrays x (rows) and y (columns); C is overwritten.
 
-    Row minima r and then column minima c are subtracted, leaving a
-    reduced matrix R >= 0 with a zero in every row and column. At
+    Row minima r and then column minima c are subtracted, each by
+    refilling C from the points (see _shifted_costs), leaving a reduced
+    matrix R >= 0, up to rounding, with a zero in every row and column. At
     eps = WARM_START_EPS_FRACTION * mean(R), the Gibbs kernel
     K = exp(-min(R / eps, WARM_START_EXP_CAP)) is written as float32 into
     the first half of C's own buffer, a block of rows at a time; float32
@@ -239,9 +293,9 @@ def _warm_start_duals(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m, mp = C.shape
     zero_f, zero_g = np.zeros(m), np.zeros(mp)
     r = C.min(axis=1)
-    _subtract_duals(C, r, zero_g)
+    _shifted_costs(x, y, r, zero_g, C)
     c = C.min(axis=0)
-    _subtract_duals(C, zero_f, c)
+    _shifted_costs(x, y, r, c, C)
     eps = WARM_START_EPS_FRACTION * float(C.mean())
     if not eps > 0:
         return zero_f, zero_g
@@ -299,8 +353,18 @@ def wasserstein_exact(a: PointCloud, b: PointCloud) -> TransportPlan:
     assignments. The cost is then read off the matched pairs (see
     _paired_sqeuclidean), bit for bit the unshifted matrix's, so it is
     exact. The rest happens in the one (L, L) buffer the cost matrix is
-    built in, refilled once from the clouds before the shift; that buffer
-    is freed before the dense coupling is built, so the two never coexist.
+    built in: cdist's first fill, then the warm start's two reductions and
+    the shifted matrix, each one GEMM from the points (see _shifted_costs;
+    with zero duals, cdist refills it). That buffer is freed before the
+    dense coupling is built, so the two never coexist. A cloud of one copy
+    is used as it is, without a repeated copy of its points.
+
+    Preparing the matrix (first fill, warm start, shift) holds a
+    process-wide lock; the assignment, the cost and the coupling do not.
+    Concurrent solves thus prepare one at a time, each beside the others'
+    assignments, which release the GIL, and not beside another
+    preparation, whose many short NumPy calls would trade the GIL with its
+    own. Results do not depend on how solves interleave.
     """
     from scipy.optimize import linear_sum_assignment
 
@@ -321,11 +385,16 @@ def wasserstein_exact(a: PointCloud, b: PointCloud) -> TransportPlan:
     # where it takes 0.7 s (2-core x86_64).
     flip = ra > rb
     clouds = [(b, rb), (a, ra)] if flip else [(a, ra), (b, rb)]
-    x, y = (PointCloud(np.repeat(cloud.points, r, axis=0)) for cloud, r in clouds)
-    C = _cost_matrix(x, y)
-    f, g = _warm_start_duals(C)
-    _cost_matrix(x, y, out=C)
-    _subtract_duals(C, f, g)
+    x, y = (cloud if r == 1 else PointCloud(np.repeat(cloud.points, r, axis=0)) for cloud, r in clouds)
+    with _PREPARE_LOCK:
+        C = _cost_matrix(x, y)
+        f, g = _warm_start_duals(C, x.points, y.points)
+        # Zero duals (the warm start's fallback) shift nothing: the solver
+        # gets cdist's matrix, not the GEMM's rounding of it.
+        if f.any() or g.any():
+            _shifted_costs(x.points, y.points, f, g, C)
+        else:
+            _cost_matrix(x, y, out=C)
     rows, cols = linear_sum_assignment(C)
     del C
     cost = float(np.sqrt(np.mean(_paired_sqeuclidean(x.points[rows], y.points[cols]))))

@@ -1,4 +1,7 @@
+import io
 import json
+import pathlib
+import tempfile
 import warnings
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from varietyfit import cloud as cloud_module
 from varietyfit.cloud import (
     CloudFormatError,
     NormalizationRecord,
@@ -187,6 +191,34 @@ def test_save_cloud_bytes_match_the_formatter(tmp_path):
     assert path.read_bytes() == b""
     with pytest.raises(CloudFormatError, match="no data rows"):
         load_cloud(path)
+
+
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    values=st.lists(
+        st.floats(allow_nan=False, allow_infinity=False)
+        | st.sampled_from(_EDGE_FLOATS)
+        | st.integers(-(2**60), 2**60).map(float),
+        max_size=60,
+    ),
+    chunk_rows=st.integers(1, 7),
+)
+def test_save_cloud_bytes_equal_savetxt(n, values, chunk_rows):
+    # Any cloud, the empty one included, in chunks of 1-7 rows and in one.
+    pts = np.array(values[: len(values) // n * n], dtype=float).reshape(-1, n)
+    buffer = io.BytesIO()
+    np.savetxt(buffer, pts, fmt="%.17g", delimiter=",")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "c.csv"
+        for rows in (chunk_rows, cloud_module.SAVE_CHUNK_ROWS):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(cloud_module, "SAVE_CHUNK_ROWS", rows)
+                save_cloud(PointCloud(pts), path)
+            assert path.read_bytes() == buffer.getvalue()
 
 
 def test_csv_single_value(tmp_path):

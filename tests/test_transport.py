@@ -1,8 +1,12 @@
 import dataclasses
 import itertools
 import math
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -600,6 +604,86 @@ def test_exact_unequal_sizes_match_linear_program(kind, m, mp, dim, seed):
     assert np.allclose(plan.coupling.sum(axis=0), 1.0 / mp, rtol=1e-12, atol=0)
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=st.sampled_from(WARM_START_KINDS),
+    m=st.integers(1, 60),
+    mp=st.integers(1, 60),
+    dim=st.integers(1, 4),
+    duals=st.sampled_from(["row-minima", "reduced", "random"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_shifted_costs_match_cdist_minus_duals(kind, m, mp, dim, duals, seed):
+    # The GEMM refill against cdist - f - g, for the duals of the warm
+    # start's two reductions and for random ones up to 10 times the
+    # largest squared distance. Its product sums n + 2 terms, each at most
+    # the box's squared diagonal plus max |f| and max |g|; the bound allows
+    # two roundings per term (measured worst: 2.2 ulps of that scale, n =
+    # 3, the 1e6 offset).
+    a, b = _warm_start_clouds(kind, max(m, mp), dim, seed)
+    x, y = a.points[:m], b.points[:mp]
+    C = cdist(x, y, metric="sqeuclidean")
+    rng = np.random.default_rng(seed)
+    if duals == "random":
+        spread = 10 ** rng.uniform(-3, 1) * C.max()
+        f, g = rng.uniform(-spread, spread, m), rng.uniform(-spread, spread, mp)
+    else:
+        f = C.min(axis=1)
+        g = (C - f[:, None]).min(axis=0) if duals == "reduced" else np.zeros(mp)
+    out = np.empty((m, mp))
+    transport._shifted_costs(x, y, f, g, out)
+    both = np.vstack([x, y])
+    diagonal = np.square(both.max(axis=0) - both.min(axis=0)).sum()
+    scale = np.finfo(float).eps * (diagonal + np.abs(f).max() + np.abs(g).max())
+    assert np.abs(out - (C - f[:, None] - g[None, :])).max() <= 2 * (dim + 2) * scale
+
+
+def test_exact_solves_prepare_one_at_a_time_and_assign_together(monkeypatch):
+    # Four threads, switching every 10 us: no warm start ever
+    # runs beside another (each sleeps, so without the preparation lock
+    # they would overlap), while the assignments do overlap: each waits on
+    # a 2-party barrier, which breaks after 30 s if a solve still held the
+    # lock while it assigned. The plans equal one-at-a-time solves.
+    rng = np.random.default_rng(25)
+    pairs = [(PointCloud(rng.random((150, 3))), PointCloud(rng.random((150, 3))))
+             for _ in range(4)]
+    alone = [wasserstein_exact(a, b) for a, b in pairs]
+    counter, active, most = threading.Lock(), [0], [0]
+    warm_start = transport._warm_start_duals
+
+    def counted(*args):
+        with counter:
+            active[0] += 1
+            most[0] = max(most[0], active[0])
+        try:
+            time.sleep(0.02)
+            return warm_start(*args)
+        finally:
+            with counter:
+                active[0] -= 1
+
+    barrier = threading.Barrier(2, timeout=30)
+
+    def together(C):
+        barrier.wait()
+        return linear_sum_assignment(C)
+
+    monkeypatch.setattr(transport, "_warm_start_duals", counted)
+    monkeypatch.setattr("scipy.optimize.linear_sum_assignment", together)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            plans = list(pool.map(lambda pair: wasserstein_exact(*pair), pairs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert most[0] == 1
+    assert not barrier.broken
+    for plan, one in zip(plans, alone):
+        assert plan.cost == one.cost
+        assert np.array_equal(plan.coupling, one.coupling)
+
+
 def test_exact_puts_the_repeated_cloud_on_the_columns(monkeypatch):
     # The assignment solver breaks ties toward a free column, so the cloud
     # with more copies of each point is its columns: as its rows, the copies
@@ -616,8 +700,10 @@ def test_exact_puts_the_repeated_cloud_on_the_columns(monkeypatch):
 
     monkeypatch.setattr(transport, "_cost_matrix", spy)
     ab, ba = wasserstein_exact(a, b), wasserstein_exact(b, a)
-    # Rows are b's 6 points either way, columns three copies of each of a's 2.
-    assert seen == [(6, 2)] * 4
+    # Rows are b's 6 points either way, columns three copies of each of a's
+    # 2; the matrix is built from the clouds once per solve, and refilled
+    # from the same points by _shifted_costs.
+    assert seen == [(6, 2)] * 2
     assert ab.cost == ba.cost
     assert np.array_equal(ab.coupling, ba.coupling.T)
 
@@ -699,7 +785,8 @@ def _spy_on_absorb(monkeypatch) -> list:
 
 def _assert_warm_start_duals(a: PointCloud, b: PointCloud) -> None:
     """The warm start's duals are finite and not the zero fallback."""
-    f, g = transport._warm_start_duals(cdist(a.points, b.points, metric="sqeuclidean"))
+    C = cdist(a.points, b.points, metric="sqeuclidean")
+    f, g = transport._warm_start_duals(C, a.points, b.points)
     assert np.isfinite(f).all() and np.isfinite(g).all()
     assert np.any(f != 0) and np.any(g != 0)
 
