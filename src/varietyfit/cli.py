@@ -263,8 +263,10 @@ def _transports(pairs) -> list[dict]:
     default reg otherwise. An all-exact list runs on up to one thread per
     usable CPU: transport prepares one exact solve at a time, beside the
     other threads' assignments, which release the GIL, so each thread
-    holds at most one cost matrix. Sinkhorn solves each hold two dense
-    matrices, so any other list runs one at a time. A Sinkhorn
+    holds at most one cost matrix. That order is measured to pay with two
+    threads only; with three or more, every preparation waits for the one
+    before it (see transport's module docstring). Sinkhorn solves each
+    hold two dense matrices, so any other list runs one at a time. A Sinkhorn
     solve cut short raises _NotConverged. Every solve is waited for before
     the first error in pair order is raised. The solvers are looked up in
     this module at call time, so a wrapper on cli.wasserstein_* (a tracer,

@@ -39,8 +39,15 @@ preparation keeps about its own speed (0.053-0.068 s; 8 runs each). With
 the lock, one solve's preparation overlaps another's assignment: in
 `pipeline --m 1600`'s three concurrent solves no two preparations
 overlap, and the whole op took 0.42 s against 0.52 s without the lock
-(median of 16 in-process ops, 2-core x86_64). The lock adds no dense
-matrix: a solve waiting on it has not allocated its own.
+(median of 16 in-process ops, 2-core x86_64). That gain is measured only
+with two usable CPUs, where `cli._transports` runs two threads and one
+preparation at a time leaves the other core to an assignment. With three
+or more usable CPUs and as many exact pairs, the pool runs three or more
+threads, and every preparation still waits for the one before it, while
+without the lock they would partly overlap (0.078-0.093 s each, side by
+side, against 0.052-0.065 s in turn); whether that costs more than it
+saves is not measured. The lock adds no dense matrix: a solve waiting on
+it has not allocated its own.
 
 The sweeps run on a float32 Gibbs kernel held in the first half of that
 float64 buffer, one pass over blocks of WARM_START_ROW_BLOCK rows per
@@ -267,6 +274,23 @@ def _absorb(K: np.ndarray, u: np.ndarray, v: np.ndarray, blocks: list[slice]) ->
         np.maximum(K[b], floor, out=K[b])
 
 
+def _reduces_to_zero(C: np.ndarray, r: np.ndarray) -> bool:
+    """Whether every row of C is constant or every column is, given its
+    row minima r.
+
+    Then subtracting r and then the column minima leaves exact zeros: no
+    assignment costs more than another, as when one cloud's points all
+    coincide. A refill from the points (see _shifted_costs) would leave
+    rounding noise there instead, which the warm start would sweep on.
+    Row 0 and column 0 are checked first, so a matrix with neither
+    property costs two short reductions, not a pass over C.
+    """
+    if C[0].max() == r[0] and (C.max(axis=1) == r).all():
+        return True
+    col = C[:, 0]
+    return bool(col.max() == col.min() and (C.max(axis=0) == C.min(axis=0)).all())
+
+
 def _warm_start_duals(C: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Approximate assignment duals f, g for the square cost matrix C of
     the point arrays x (rows) and y (columns); C is overwritten.
@@ -287,12 +311,15 @@ def _warm_start_duals(C: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.n
     above exp(-WARM_START_EXP_CAP): no product in a sweep is subnormal
     (see _kernel). This gives f = r + eps log u, g = c + eps log v, so
     that C_ij - f_i - g_j is near zero on a near-optimal assignment. The
-    duals are zeros when eps is not > 0 (every entry of R is zero) or
-    when any of them is not finite.
+    duals are zeros, and C is left as it is, when every row or every
+    column of C is constant (see _reduces_to_zero); they are zeros too
+    when eps is not > 0 or when any of them is not finite.
     """
     m, mp = C.shape
     zero_f, zero_g = np.zeros(m), np.zeros(mp)
     r = C.min(axis=1)
+    if _reduces_to_zero(C, r):
+        return zero_f, zero_g
     _shifted_costs(x, y, r, zero_g, C)
     c = C.min(axis=0)
     _shifted_costs(x, y, r, c, C)
@@ -364,7 +391,10 @@ def wasserstein_exact(a: PointCloud, b: PointCloud) -> TransportPlan:
     Concurrent solves thus prepare one at a time, each beside the others'
     assignments, which release the GIL, and not beside another
     preparation, whose many short NumPy calls would trade the GIL with its
-    own. Results do not depend on how solves interleave.
+    own. That pays with two threads on two CPUs, as measured; with three
+    or more concurrent solves every preparation waits for the previous
+    one, which is not measured (see the module docstring). Results do not
+    depend on how solves interleave.
     """
     from scipy.optimize import linear_sum_assignment
 

@@ -753,6 +753,31 @@ def test_warm_start_skipped_when_reduced_costs_vanish(monkeypatch, points):
     assert np.array_equal(plan.coupling.sum(axis=0), np.full(a.m, 1.0 / a.m))
 
 
+@pytest.mark.parametrize("kind", ["one-point", "coincident"])
+@pytest.mark.parametrize("swap", [False, True], ids=["point-first", "spread-first"])
+def test_warm_start_skipped_when_one_cloud_sits_at_one_point(monkeypatch, kind, swap):
+    # One point against k, or k coincident points against k spread ones:
+    # every row or every column of the cost matrix is constant, so every
+    # reduced cost is exactly zero. The warm start neither refills the
+    # matrix from the points nor sweeps, and the solver gets cdist's matrix.
+    rng = np.random.default_rng(21)
+    spread = rng.random((64, 3)) + 0.1
+    point = np.array([[0.3, 0.7, 0.1]])
+    repeated = np.repeat(point, 64, axis=0)
+    near = repeated if kind == "coincident" else point
+    a, b = (PointCloud(spread), PointCloud(near)) if swap else (PointCloud(near), PointCloud(spread))
+    refills = []
+    monkeypatch.setattr(transport, "_shifted_costs", lambda *args: refills.append(args))
+    seen = _spy_on_assignment(monkeypatch)
+    plan = wasserstein_exact(a, b)
+    assert refills == []
+    # A one-point cloud is repeated onto the columns whichever side it is.
+    x, y = (a.points, b.points) if kind == "coincident" else (spread, repeated)
+    assert np.array_equal(seen[0], cdist(x, y, metric="sqeuclidean"))
+    assert plan.cost == pytest.approx(np.sqrt(cdist(spread, point, metric="sqeuclidean").mean()), rel=1e-14)
+    assert np.allclose(plan.coupling.sum(axis=0), 1.0 / b.m, rtol=1e-14, atol=0)
+
+
 def test_non_finite_warm_start_duals_fall_back_to_raw_matrix(monkeypatch):
     # eps = inf makes eps * log(u) infinite; the duals fall back to zeros,
     # so the solver gets the raw matrix and the cost is unchanged.
